@@ -6,7 +6,7 @@ GO ?= go
 BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord
 BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry
 
-.PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
+.PHONY: all build test race lint vet fuzz-smoke invariance-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
 
 all: build test lint
 
@@ -46,56 +46,29 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
-# Parallel sweep engine smoke: the engine's own tests under the race
-# detector, then a short rdsweep run on 4 workers and on 1, asserting
-# byte-identical JSON aggregates (the worker-invariance contract).
-sweep-smoke:
-	$(GO) test -race -count=1 ./internal/sweep/...
-	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 4 -horizon-ms 500 -quiet -json sweep-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 1 -horizon-ms 500 -quiet -json sweep-w1.json
-	cmp sweep-w4.json sweep-w1.json
-	rm -f sweep-w4.json sweep-w1.json
+# Worker-invariance smoke: the sweep engine, fault injector,
+# invariant checker, comparator, streamer and fleet suites under the
+# race detector, then one rdsweep row per scenario selector, each on 4
+# workers and on 1 under -race, asserting byte-identical JSON. Rows are
+# selector:seeds. Armed injectors, the lottery's seeded substream, the
+# streamer's exact byte·27 accounting and both of the fleet's worker
+# pools (the sweep's run pool and each cluster's node pool) must all
+# leave no fingerprint on the aggregates.
+INVARIANCE_ROWS = all:8 fault:8 baseline:8 fleet:4
+INVARIANCE_PKGS = ./internal/sweep/... ./internal/fault/... ./internal/invariant/... \
+	./internal/baseline/... ./internal/streamer/... ./internal/fleet/...
 
-# Fault-injection smoke (see docs/FAULTS.md): the injector and
-# invariant-checker suites under the race detector, then the fault
-# scenario family through rdsweep on 4 workers and on 1, asserting
-# byte-identical JSON — armed injectors must not break the
-# worker-invariance contract.
-fault-smoke:
-	$(GO) test -race -count=1 ./internal/fault/... ./internal/invariant/...
-	$(GO) run -race ./cmd/rdsweep -scenarios fault -seeds 8 -workers 4 -horizon-ms 500 -quiet -json fault-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios fault -seeds 8 -workers 1 -horizon-ms 500 -quiet -json fault-w1.json
-	cmp fault-w4.json fault-w1.json
-	rm -f fault-w4.json fault-w1.json
-
-# Comparator-family smoke (see EXPERIMENTS.md "baseline family"): the
-# baseline and streamer suites under the race detector, then the
-# baseline scenario family — lottery/stride/CFS comparators plus the
-# allocator-driven streamer — through rdsweep on 4 workers and on 1,
-# asserting byte-identical JSON. The lottery's seeded RNG substream
-# and the streamer's exact byte·27 accounting must both survive the
-# worker-invariance contract.
-baseline-smoke:
-	$(GO) test -race -count=1 ./internal/baseline/... ./internal/streamer/...
-	$(GO) run -race ./cmd/rdsweep -scenarios baseline -seeds 8 -workers 4 -horizon-ms 500 -quiet -json baseline-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios baseline -seeds 8 -workers 1 -horizon-ms 500 -quiet -json baseline-w1.json
-	cmp baseline-w4.json baseline-w1.json
-	rm -f baseline-w4.json baseline-w1.json
-
-# Fleet-family smoke (see docs/FAULTS.md "fleet failure semantics"):
-# the multi-node cluster suite under the race detector — including
-# the cluster's own worker-invariance and crash-conservation tests —
-# then the fleet scenario family (node crashes, correlated storms,
-# spillover/retry/migration) through rdsweep on 4 workers and on 1,
-# asserting byte-identical JSON. Both worker pools are in play here:
-# the sweep's run pool and each cluster's node pool must leave no
-# fingerprint on the aggregates.
-fleet-smoke:
-	$(GO) test -race -count=1 ./internal/fleet/...
-	$(GO) run -race ./cmd/rdsweep -scenarios fleet -seeds 4 -workers 4 -horizon-ms 500 -quiet -json fleet-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios fleet -seeds 4 -workers 1 -horizon-ms 500 -quiet -json fleet-w1.json
-	cmp fleet-w4.json fleet-w1.json
-	rm -f fleet-w4.json fleet-w1.json
+invariance-smoke:
+	$(GO) test -race -count=1 $(INVARIANCE_PKGS)
+	$(GO) build -race -o rdsweep-race.bin ./cmd/rdsweep
+	set -e; for row in $(INVARIANCE_ROWS); do \
+		sel=$${row%%:*}; seeds=$${row##*:}; \
+		./rdsweep-race.bin -scenarios $$sel -seeds $$seeds -workers 4 -horizon-ms 500 -quiet -json $$sel-w4.json; \
+		./rdsweep-race.bin -scenarios $$sel -seeds $$seeds -workers 1 -horizon-ms 500 -quiet -json $$sel-w1.json; \
+		cmp $$sel-w4.json $$sel-w1.json; \
+		rm -f $$sel-w4.json $$sel-w1.json; \
+	done
+	rm -f rdsweep-race.bin
 
 # Telemetry smoke (see docs/OBSERVABILITY.md): the telemetry suite,
 # then a seeded scenario run twice — the rdtel/v2 manifests must be
@@ -172,4 +145,4 @@ bench-smoke:
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
 			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op
 
-ci: build vet test race lint fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke telemetry-smoke bench-smoke
+ci: build vet test race lint fuzz-smoke invariance-smoke flight-smoke telemetry-smoke bench-smoke

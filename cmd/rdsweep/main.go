@@ -43,19 +43,19 @@ func main() {
 	var (
 		scenariosFlag = flag.String("scenarios", "all", "comma-separated scenario names, 'all', or a family name ('fault', 'baseline', 'fleet') for every member scenario (see -list)")
 		costsFlag     = flag.String("costs", strings.Join(sweep.DefaultCostModels(), ","), "comma-separated switch-cost models, or 'all'")
-		policiesFlag  = flag.String("policies", "all", "comma-separated policy variants, or 'all'")
+		policiesFlag  = flag.String("policies", "all", "comma-separated policy names, or 'all'; each scenario runs only those on its own policy axis (see -list)")
 		seedsFlag     = flag.Int("seeds", 16, "number of seeds per cell")
 		seedBase      = flag.Uint64("seed-base", 1, "first seed; runs use seed-base .. seed-base+seeds-1")
 		workers       = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS (never affects results)")
 		horizonMS     = flag.Int64("horizon-ms", 0, "simulated duration per run in ms; 0 = default (2000)")
 		jsonPath      = flag.String("json", "", "write machine-readable aggregates to this file ('-' for stdout)")
 		quiet         = flag.Bool("quiet", false, "suppress the human-readable table")
-		list          = flag.Bool("list", false, "list scenarios, cost models and policies, then exit")
+		list          = flag.Bool("list", false, "list scenarios with their policy axis and its values, cost models and policies, then exit")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile    = flag.String("memprofile", "", "write an allocation profile (alloc_objects/alloc_space) to this file")
 		timingJSON    = flag.String("timing-json", "", "write wall-clock sweep throughput to this file as an rdperf metrics map (see cmd/rdperf)")
 
-		clusterManifest = flag.String("cluster-manifest", "", "run one fleet-family spec with full span logging and write its stitched rdtel/v2 cluster manifest to this file ('-' for stdout); requires exactly one scenario, cost model, policy and seed")
+		clusterManifest = flag.String("cluster-manifest", "", "run one fleet-family spec with full span logging and write its stitched rdtel/v2 cluster manifest to this file ('-' for stdout); requires exactly one scenario, cost model, policy and seed ('all' policies picks the scenario's first placement)")
 		nodeManifests   = flag.String("node-manifests", "", "with -cluster-manifest: also write the coordinator and per-node manifests into this directory (coord.manifest.json, node000.manifest.json, ...)")
 		clusterWorkers  = flag.Int("cluster-workers", 1, "with -cluster-manifest: cluster node-advance pool size (never affects output bytes)")
 	)
@@ -95,7 +95,7 @@ func main() {
 	if *list {
 		fmt.Println("scenarios:")
 		for _, sc := range sweep.Scenarios() {
-			fmt.Printf("  %-10s %s (policies: %s)\n", sc.Name, sc.Desc, strings.Join(sc.Policies, ", "))
+			fmt.Printf("  %-17s %s (%s: %s)\n", sc.Name, sc.Desc, sc.Axis, strings.Join(sc.Policies, ", "))
 		}
 		fmt.Printf("cost models: %s (default %s)\n",
 			strings.Join(sweep.CostModelNames(), ", "), strings.Join(sweep.DefaultCostModels(), ", "))
@@ -192,7 +192,16 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 	if err != nil {
 		return err
 	}
-	policy, err := singleValue("policies", splitOrAll(policies), sweep.PolicyInvent)
+	firstPolicy := ""
+	for _, sc := range sweep.Scenarios() {
+		if sc.Name == scenario {
+			firstPolicy = sc.Policies[0]
+		}
+	}
+	if firstPolicy == "" {
+		return fmt.Errorf("unknown scenario %q (see -list)", scenario)
+	}
+	policy, err := singleValue("policies", splitOrAll(policies), firstPolicy)
 	if err != nil {
 		return err
 	}

@@ -48,34 +48,6 @@ const (
 	PolicyStreamerMaxThru = "streamer-maxthru"
 )
 
-func comparatorPolicies() []string {
-	return []string{PolicyInvent,
-		PolicyBaselineFairShare, PolicyBaselineLottery, PolicyBaselineStride, PolicyBaselineCFS}
-}
-
-func init() {
-	scenarios = append(scenarios,
-		Scenario{
-			Name:     "baseline-media",
-			Desc:     "§3.5 MPEG + three 30% workers (120% load) under RD vs proportional-share comparators",
-			Policies: comparatorPolicies(),
-			run:      runBaselineMedia,
-		},
-		Scenario{
-			Name:     "baseline-overload",
-			Desc:     "seed-jittered overloaded periodic mix: RD sheds by menu, comparators thrash",
-			Policies: comparatorPolicies(),
-			run:      runBaselineOverload,
-		},
-		Scenario{
-			Name:     "baseline-streamer",
-			Desc:     "contended Data Streamer: three DMA producers over capacity, CPU grants × allocator policy",
-			Policies: []string{PolicyInvent, PolicyStreamerMaxMin, PolicyStreamerMaxThru},
-			run:      runBaselineStreamer,
-		},
-	)
-}
-
 // comparator is the interface the proportional-share schedulers share
 // (FairShare, Lottery, Stride, CFS all satisfy it).
 type comparator interface {
@@ -85,20 +57,26 @@ type comparator interface {
 	Instrument(t *telemetry.Set)
 }
 
-// newComparator builds the scheduler a baseline-* policy names.
-func newComparator(pol string, k *sim.Kernel, seed uint64) (comparator, error) {
-	q := ticks.PerMillisecond
-	switch pol {
-	case PolicyBaselineFairShare:
-		return baseline.NewFairShare(k, q), nil
-	case PolicyBaselineLottery:
-		return baseline.NewLottery(k, q, seed), nil
-	case PolicyBaselineStride:
-		return baseline.NewStride(k, q), nil
-	case PolicyBaselineCFS:
-		return baseline.NewCFS(k, q), nil
-	}
-	return nil, fmt.Errorf("sweep: policy %q is not a baseline comparator", pol)
+// newComparator builds a comparator on a bare kernel, with a 1 ms
+// quantum; seed feeds the lottery's draws.
+type newComparator func(k *sim.Kernel, seed uint64) comparator
+
+// comparators is the comparator axis table. Invent has no
+// constructor: it is the RD reference run.
+var comparators = []option[newComparator]{
+	{PolicyInvent, nil},
+	{PolicyBaselineFairShare, func(k *sim.Kernel, _ uint64) comparator { return baseline.NewFairShare(k, ms) }},
+	{PolicyBaselineLottery, func(k *sim.Kernel, seed uint64) comparator { return baseline.NewLottery(k, ms, seed) }},
+	{PolicyBaselineStride, func(k *sim.Kernel, _ uint64) comparator { return baseline.NewStride(k, ms) }},
+	{PolicyBaselineCFS, func(k *sim.Kernel, _ uint64) comparator { return baseline.NewCFS(k, ms) }},
+}
+
+// allocators is the baseline-streamer allocator axis table: invent is
+// the RD's metered FCFS reservations.
+var allocators = []option[streamer.Allocator]{
+	{PolicyInvent, streamer.Metered{}},
+	{PolicyStreamerMaxMin, streamer.MaxMinFair{}},
+	{PolicyStreamerMaxThru, streamer.MaxThroughput{}},
 }
 
 // comparatorTally folds baseline Stats into the run metrics: the
@@ -118,9 +96,9 @@ func comparatorTally(m *RunMetrics, c comparator, names []string) {
 // Under the RD (invent) the workers present honest shed menus and the
 // decoder keeps every I frame; under a comparator everyone gets a
 // fair fraction and frames die by accident of timing.
-func runBaselineMedia(e *env) error {
+func runBaselineMedia(e *env, mk newComparator) error {
 	const mpegPeriod = 900_000 // 30 fps
-	if e.spec.Policy == PolicyInvent {
+	if mk == nil {
 		d := e.start(core.Config{})
 		mpeg := workload.NewMPEG()
 		if _, err := e.admit(mpeg.Task()); err != nil {
@@ -146,10 +124,7 @@ func runBaselineMedia(e *env) error {
 	}
 
 	k := e.startKernel()
-	c, err := newComparator(e.spec.Policy, k, e.spec.Seed)
-	if err != nil {
-		return err
-	}
+	c := mk(k, e.spec.Seed)
 	c.Instrument(e.tel)
 	mpeg := workload.NewMPEG()
 	c.Add("mpeg", mpegPeriod, 1, mpeg)
@@ -203,9 +178,9 @@ func baselineGenMix(seed uint64) []genSpec {
 // runBaselineOverload stages the jittered mix. The RD admits what
 // fits (shedding via two-level menus, denying the rest); the
 // comparators accept everything and split the machine.
-func runBaselineOverload(e *env) error {
+func runBaselineOverload(e *env, mk newComparator) error {
 	specs := baselineGenMix(e.spec.Seed)
-	if e.spec.Policy == PolicyInvent {
+	if mk == nil {
 		d := e.start(core.Config{})
 		for i := range specs {
 			g := specs[i]
@@ -236,10 +211,7 @@ func runBaselineOverload(e *env) error {
 	}
 
 	k := e.startKernel()
-	c, err := newComparator(e.spec.Policy, k, e.spec.Seed)
-	if err != nil {
-		return err
-	}
+	c := mk(k, e.spec.Seed)
 	c.Instrument(e.tel)
 	names := make([]string, 0, len(specs))
 	for i := range specs {
@@ -301,21 +273,12 @@ func (p *dmaProducer) Run(ctx task.RunContext) task.RunResult {
 // runBaselineStreamer is the contended-streamer scenario: three DMA
 // producers demanding 420 MB/s of a 300 MB/s part, their CPU stages
 // scheduled by a stride comparator so CPU grants and DMA rates
-// interact. The policy axis picks the bandwidth allocator: invent =
-// the RD's metered FCFS reservations, or max-min fair /
-// maximum-throughput. Mid-run the video channel doubles its demand
-// and the archive channel closes, exercising reallocation.
-func runBaselineStreamer(e *env) error {
+// interact. The allocator axis picks the bandwidth allocator: the
+// RD's metered FCFS reservations, max-min fair or maximum-throughput.
+// Mid-run the video channel doubles its demand and the archive
+// channel closes, exercising reallocation.
+func runBaselineStreamer(e *env, alloc streamer.Allocator) error {
 	k := e.startKernel()
-	var alloc streamer.Allocator
-	switch e.spec.Policy {
-	case PolicyStreamerMaxMin:
-		alloc = streamer.MaxMinFair{}
-	case PolicyStreamerMaxThru:
-		alloc = streamer.MaxThroughput{}
-	default:
-		alloc = streamer.Metered{}
-	}
 	eng := streamer.NewAllocated(k, 300, alloc)
 	eng.Instrument(e.tel)
 

@@ -57,41 +57,6 @@ func expandFamilies(names []string) []string {
 	return out
 }
 
-func init() {
-	scenarios = append(scenarios,
-		Scenario{
-			Name:     "fault-overrun",
-			Desc:     "media mix plus a task overrunning its declared CPU every period",
-			Policies: []string{PolicyInvent},
-			run:      runFaultOverrun,
-		},
-		Scenario{
-			Name:     "fault-crash",
-			Desc:     "media mix plus a task crash/restart cycle (terminate + re-admit)",
-			Policies: []string{PolicyInvent},
-			run:      runFaultCrash,
-		},
-		Scenario{
-			Name:     "fault-storm",
-			Desc:     "interrupt storms over the §5.2 reserve, shed by the overload governor",
-			Policies: []string{PolicyInvent},
-			run:      runFaultStorm,
-		},
-		Scenario{
-			Name:     "fault-jitter",
-			Desc:     "late, coalesced timer delivery under the media mix",
-			Policies: []string{PolicyInvent},
-			run:      runFaultJitter,
-		},
-		Scenario{
-			Name:     "fault-policy",
-			Desc:     "corrupted policy-box input fed to Load mid-run",
-			Policies: []string{PolicyInvent},
-			run:      runFaultPolicy,
-		},
-	)
-}
-
 // faultBaseline admits the family's common well-behaved workload: a
 // multi-level video decoder and audio, both using their full grant
 // and completing each period. Multi-level lists give the Policy Box

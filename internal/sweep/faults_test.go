@@ -113,7 +113,8 @@ func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 	if !ok {
 		t.Fatal("fault-storm not registered")
 	}
-	if err := sc.run(e); err != nil {
+	run, _ := sc.resolve(PolicyInvent)
+	if err := run(e); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +165,8 @@ func TestPolicyFaultNeverMutatesOnReject(t *testing.T) {
 			pr:    newProbe(),
 		}
 		sc, _ := scenarioByName("fault-policy")
-		if err := sc.run(e); err != nil {
+		run, _ := sc.resolve(PolicyInvent)
+		if err := run(e); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.flog.CountKind("fault.policy-mutated"); n != 0 {

@@ -9,11 +9,9 @@ package sweep
 // a degradation — the cluster ledger (and its conservation audit)
 // forbids silent loss, and RunMetrics.Violations counts any breach.
 //
-// The policy axis doubles as the placement axis here: the fleet-*
-// scenarios accept the placement policies below (plus PolicyInvent,
-// which maps to the default first-fit scan), so one matrix compares
-// first-fit, least-loaded and hashed round-robin under identical
-// arrival streams and fault schedules.
+// The fleet-* scenarios read the placement axis, so one matrix
+// compares first-fit, least-loaded and hashed round-robin under
+// identical arrival streams and fault schedules.
 //
 // Arrival randomness comes from streamFleet; node seeds, backoff
 // jitter and injector schedules derive from their own documented
@@ -38,53 +36,18 @@ const FleetFamily = "fleet"
 // (task periods, level menus, lifetimes, arrival times).
 const streamFleet = 9
 
-// Fleet placement policies, surfaced on the shared policy axis.
+// Fleet placement policies.
 const (
 	PolicyFleetFirstFit    = "first-fit"
 	PolicyFleetLeastLoaded = "least-loaded"
 	PolicyFleetRRHash      = "rr-hash"
 )
 
-// fleetPolicies is the variant list every fleet-* scenario supports:
-// the three placement orders plus PolicyInvent (the sweep-wide
-// lowest-common-denominator variant), which runs the default
-// first-fit scan.
-func fleetPolicies() []string {
-	return []string{PolicyInvent, PolicyFleetFirstFit, PolicyFleetLeastLoaded, PolicyFleetRRHash}
-}
-
-func placementFor(policy string) fleet.Placement {
-	switch policy {
-	case PolicyFleetLeastLoaded:
-		return fleet.LeastLoaded
-	case PolicyFleetRRHash:
-		return fleet.RoundRobinHash
-	default:
-		return fleet.FirstFit
-	}
-}
-
-func init() {
-	scenarios = append(scenarios,
-		Scenario{
-			Name:     "fleet-spill",
-			Desc:     "16 tight nodes under a heavy arrival stream: spillover, backoff, rejection",
-			Policies: fleetPolicies(),
-			run:      runFleetSpill,
-		},
-		Scenario{
-			Name:     "fleet-surge",
-			Desc:     "48 nodes, correlated interrupt storms over a third of the fleet: shedding and migration",
-			Policies: fleetPolicies(),
-			run:      runFleetSurge,
-		},
-		Scenario{
-			Name:     "fleet-crash",
-			Desc:     "120 nodes, roaming crash/restart cycles plus a correlated storm front: recovery",
-			Policies: fleetPolicies(),
-			run:      runFleetCrash,
-		},
-	)
+// placements is the placement axis table.
+var placements = []option[fleet.Placement]{
+	{PolicyFleetFirstFit, fleet.FirstFit},
+	{PolicyFleetLeastLoaded, fleet.LeastLoaded},
+	{PolicyFleetRRHash, fleet.RoundRobinHash},
 }
 
 // fleetBody builds bodies that consume their grant and exit after
@@ -106,15 +69,14 @@ func fleetBody(life int) func() task.Body {
 }
 
 // runFleet is the family's shared harness: build the cluster with
-// the spec's seed, cost model and placement policy, arm the
-// node-level injectors, submit an open-loop arrival stream sized per
-// node, run to the horizon, and report fleet quality as recorded
-// losses (deadline misses plus crash losses the cluster could not
-// re-place) over total period starts.
+// the spec's seed and cost model, arm the node-level injectors,
+// submit an open-loop arrival stream sized per node, run to the
+// horizon, and report fleet quality as recorded losses (deadline
+// misses plus crash losses the cluster could not re-place) over total
+// period starts.
 func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.NodeInjector) error {
 	cfg.Seed = e.spec.Seed
 	cfg.SwitchCosts = &e.costs
-	cfg.Placement = placementFor(e.spec.Policy)
 	cfg.Workers = 1 // the sweep already parallelizes across runs
 	if e.fleetWorkers > 0 {
 		cfg.Workers = e.fleetWorkers
@@ -173,8 +135,12 @@ func RunFleetCluster(spec RunSpec, workers int) (*fleet.Cluster, *fleet.Report, 
 	if !ok {
 		return nil, nil, fmt.Errorf("sweep: unknown scenario %q", spec.Scenario)
 	}
-	if !sc.supports(spec.Policy) {
-		return nil, nil, fmt.Errorf("sweep: scenario %q does not support policy %q", spec.Scenario, spec.Policy)
+	if sc.Axis != axisPlacement {
+		return nil, nil, fmt.Errorf("sweep: scenario %q is not a fleet scenario", spec.Scenario)
+	}
+	run, ok := sc.resolve(spec.Policy)
+	if !ok {
+		return nil, nil, fmt.Errorf("sweep: scenario %q does not consume policy %q (have %v)", spec.Scenario, spec.Policy, sc.Policies)
 	}
 	costs, ok := costModelByName(spec.CostModel)
 	if !ok {
@@ -184,11 +150,8 @@ func RunFleetCluster(spec RunSpec, workers int) (*fleet.Cluster, *fleet.Report, 
 		spec: spec, costs: costs, pr: newProbe(),
 		fleetWorkers: workers, fleetSpanLog: true, keepFleet: true,
 	}
-	if err := sc.run(e); err != nil {
+	if err := run(e); err != nil {
 		return nil, nil, err
-	}
-	if e.flc == nil {
-		return nil, nil, fmt.Errorf("sweep: scenario %q is not a fleet scenario", spec.Scenario)
 	}
 	return e.flc, e.fl, nil
 }
@@ -224,18 +187,19 @@ func (e *env) fleetMetrics() (out RunMetrics) {
 	return out
 }
 
-func runFleetSpill(e *env) error {
+func runFleetSpill(e *env, p fleet.Placement) error {
 	// No faults: the pressure is pure arithmetic — more minimum
 	// demand than fleet capacity, so placement order and the retry
 	// loop decide who gets a guarantee.
-	return e.runFleet(fleet.Config{Nodes: 16}, 14, 50)
+	return e.runFleet(fleet.Config{Nodes: 16, Placement: p}, 14, 50)
 }
 
-func runFleetSurge(e *env) error {
+func runFleetSurge(e *env, p fleet.Placement) error {
 	h := e.spec.Horizon
 	return e.runFleet(
 		fleet.Config{
 			Nodes:                   48,
+			Placement:               p,
 			InterruptReservePercent: 2,
 			GovernorInterval:        10 * ms,
 		},
@@ -254,11 +218,12 @@ func runFleetSurge(e *env) error {
 		})
 }
 
-func runFleetCrash(e *env) error {
+func runFleetCrash(e *env, p fleet.Placement) error {
 	h := e.spec.Horizon
 	return e.runFleet(
 		fleet.Config{
 			Nodes:                   120,
+			Placement:               p,
 			InterruptReservePercent: 2,
 			GovernorInterval:        10 * ms,
 		},

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -31,11 +32,12 @@ const (
 	streamGraphics = 3 // 3D renderer scene costs
 )
 
-// Policy variants. A scenario lists which variants it can stage;
-// matrix expansion silently skips unsupported combinations.
+// RD policy-box variants. Each RD scenario tables its own rankings
+// per variant (see bindBox).
 const (
 	// PolicyInvent installs no policies: conflicts get the Box's
-	// invented 1/N split (§6.3).
+	// invented 1/N split (§6.3). On the comparator and allocator axes
+	// it names the RD reference run.
 	PolicyInvent = "invent"
 	// PolicyAudioFirst protects audio (and the modem) when shedding,
 	// per §4.3 "users are more sensitive to audio than video".
@@ -45,25 +47,67 @@ const (
 	PolicyVideoFirst = "video-first"
 )
 
-// AllPolicies lists every policy variant, in matrix-expansion order:
-// the RD policy variants first, then the baseline-* comparator axis,
-// the streamer allocation policies (baselines.go), and the fleet
-// placement policies (fleets.go).
-func AllPolicies() []string {
-	return []string{PolicyInvent, PolicyAudioFirst, PolicyVideoFirst,
-		PolicyBaselineFairShare, PolicyBaselineLottery, PolicyBaselineStride, PolicyBaselineCFS,
-		PolicyStreamerMaxMin, PolicyStreamerMaxThru,
-		PolicyFleetFirstFit, PolicyFleetLeastLoaded, PolicyFleetRRHash}
+// The policy axes. A scenario's runner reads exactly one, through an
+// ordered table from policy name to the value that name configures;
+// the scenario's supported policies, matrix expansion and AllPolicies
+// are all derived from those tables.
+const (
+	axisBox        = "policy-box" // an RD policy-box variant (*policy.Box)
+	axisComparator = "comparator" // the RD reference or a baseline scheduler
+	axisAllocator  = "allocator"  // a streamer.Allocator
+	axisPlacement  = "placement"  // a fleet.Placement
+)
+
+// option is one row of a policy-axis table.
+type option[T any] struct {
+	name string
+	val  T
 }
 
-func knownPolicy(name string) bool {
-	for _, p := range AllPolicies() {
-		if p == name {
-			return true
+// binding is a scenario runner bound to the policy axis it reads.
+type binding struct {
+	Axis     string   // the policy axis the runner reads
+	Policies []string // the axis's values, in matrix-expansion order
+	configs  []any    // configs[i] is what Policies[i] configures
+	run      func(e *env, i int) error
+}
+
+// bind binds a runner to an axis table: a run under opts[i].name
+// hands the runner opts[i].val.
+func bind[T any](axis string, opts []option[T], run func(*env, T) error) binding {
+	b := binding{Axis: axis, run: func(e *env, i int) error { return run(e, opts[i].val) }}
+	for _, o := range opts {
+		b.Policies = append(b.Policies, o.name)
+		b.configs = append(b.configs, o.val)
+	}
+	return b
+}
+
+// resolve returns the runner with pol's value bound, or false when
+// pol is not on the scenario's axis.
+func (b binding) resolve(pol string) (func(*env) error, bool) {
+	i := slices.Index(b.Policies, pol)
+	if i < 0 {
+		return nil, false
+	}
+	return func(e *env) error { return b.run(e, i) }, true
+}
+
+// AllPolicies lists every policy some scenario consumes, in order of
+// first appearance over the registry.
+func AllPolicies() []string {
+	var out []string
+	for _, sc := range scenarios {
+		for _, p := range sc.Policies {
+			if !slices.Contains(out, p) {
+				out = append(out, p)
+			}
 		}
 	}
-	return false
+	return out
 }
+
+func knownPolicy(name string) bool { return slices.Contains(AllPolicies(), name) }
 
 // share is one (task name → percent) row used to declare policy
 // rankings as ordered literals, keeping registration order (and so
@@ -73,28 +117,49 @@ type share struct {
 	pct  int
 }
 
-// rankedBox builds a Policy Box holding one default policy per given
-// ranking. Task names shared between rankings register once.
-func rankedBox(rankings ...[]share) *policy.Box {
+// rankings is one policy-box variant: one default policy per ranking.
+type rankings [][]share
+
+// box builds a fresh Policy Box holding one default policy per
+// ranking, registering task names shared between rankings once. No
+// rankings means no box: the Distributor invents its 1/N split.
+func (r rankings) box() *policy.Box {
+	if len(r) == 0 {
+		return nil
+	}
 	box := policy.NewBox()
 	ids := make(map[string]policy.MemberID)
-	for _, ranking := range rankings {
+	for _, ranking := range r {
 		for _, s := range ranking {
 			if _, ok := ids[s.name]; !ok {
 				ids[s.name] = box.Register(s.name)
 			}
 		}
 	}
-	for _, ranking := range rankings {
-		r := policy.Ranking{}
+	for _, ranking := range r {
+		pr := policy.Ranking{}
 		for _, s := range ranking {
-			r[ids[s.name]] = s.pct
+			pr[ids[s.name]] = s.pct
 		}
-		if err := box.SetDefault(policy.Policy{Shares: r}); err != nil {
+		if err := box.SetDefault(policy.Policy{Shares: pr}); err != nil {
 			panic(fmt.Sprintf("sweep: bad built-in policy: %v", err))
 		}
 	}
 	return box
+}
+
+// bindBox binds an RD runner to its scenario's own policy-box table;
+// each run hands the runner a Box freshly built from the variant's
+// rankings.
+func bindBox(opts []option[rankings], run func(*env, *policy.Box) error) binding {
+	return bind(axisBox, opts, func(e *env, r rankings) error { return run(e, r.box()) })
+}
+
+// invented binds an RD runner that stages no policy-box variant: its
+// table's one value is PolicyInvent.
+func invented(run func(*env) error) binding {
+	return bindBox([]option[rankings]{{PolicyInvent, nil}},
+		func(e *env, _ *policy.Box) error { return run(e) })
 }
 
 // --- switch-cost models ---
@@ -307,61 +372,50 @@ func (e *env) admissionLatenciesMS() []float64 {
 
 // --- scenario registry ---
 
-// Scenario is one runnable experiment shape.
+// Scenario is one runnable experiment shape, bound to the one policy
+// axis its runner reads.
 type Scenario struct {
-	Name     string
-	Desc     string
-	Policies []string // supported policy variants
-	run      func(e *env) error
-}
-
-func (s Scenario) supports(pol string) bool {
-	for _, p := range s.Policies {
-		if p == pol {
-			return true
-		}
-	}
-	return false
+	Name string
+	Desc string
+	binding
 }
 
 // scenarios is the registry, in matrix-expansion order.
 var scenarios = []Scenario{
-	{
-		Name:     "settop",
-		Desc:     "Table 4 set-top box: modem + 3D renderer + stored MPEG",
-		Policies: []string{PolicyInvent, PolicyVideoFirst},
-		run:      runSettop,
-	},
-	{
-		Name:     "media",
-		Desc:     "set-top mix plus AC3 audio, exercising audio/video policy trades",
-		Policies: AllPolicies(),
-		run:      runMedia,
-	},
-	{
-		Name:     "overload",
-		Desc:     "Figure 5 staircase: Sporadic Server + five BusyLoop threads arriving 20ms apart",
-		Policies: []string{PolicyInvent},
-		run:      runOverload,
-	},
-	{
-		Name:     "quiescent",
-		Desc:     "§5.3 telephone answering: DVD + AC3, quiescent modem woken mid-run",
-		Policies: AllPolicies(),
-		run:      runQuiescent,
-	},
-	{
-		Name:     "studio",
-		Desc:     "live transport stream + AC3 + overlay + interrupts + Sporadic Server",
-		Policies: AllPolicies(),
-		run:      runStudio,
-	},
-	{
-		Name:     "stress",
-		Desc:     "seed-jittered generator: staggered admits, exits, grant assignment, removal",
-		Policies: []string{PolicyInvent},
-		run:      runStress,
-	},
+	{"settop", "Table 4 set-top box: modem + 3D renderer + stored MPEG",
+		bindBox(settopBoxes, runSettop)},
+	{"media", "set-top mix plus AC3 audio, exercising audio/video policy trades",
+		bindBox(mediaBoxes, runMedia)},
+	{"overload", "Figure 5 staircase: Sporadic Server + five BusyLoop threads arriving 20ms apart",
+		invented(runOverload)},
+	{"quiescent", "§5.3 telephone answering: DVD + AC3, quiescent modem woken mid-run",
+		bindBox(quiescentBoxes, runQuiescent)},
+	{"studio", "live transport stream + AC3 + overlay + interrupts + Sporadic Server",
+		bindBox(studioBoxes, runStudio)},
+	{"stress", "seed-jittered generator: staggered admits, exits, grant assignment, removal",
+		invented(runStress)},
+	{"baseline-media", "§3.5 MPEG + three 30% workers (120% load) under RD vs proportional-share comparators",
+		bind(axisComparator, comparators, runBaselineMedia)},
+	{"baseline-overload", "seed-jittered overloaded periodic mix: RD sheds by menu, comparators thrash",
+		bind(axisComparator, comparators, runBaselineOverload)},
+	{"baseline-streamer", "contended Data Streamer: three DMA producers over capacity, CPU grants × allocator policy",
+		bind(axisAllocator, allocators, runBaselineStreamer)},
+	{"fault-overrun", "media mix plus a task overrunning its declared CPU every period",
+		invented(runFaultOverrun)},
+	{"fault-crash", "media mix plus a task crash/restart cycle (terminate + re-admit)",
+		invented(runFaultCrash)},
+	{"fault-storm", "interrupt storms over the §5.2 reserve, shed by the overload governor",
+		invented(runFaultStorm)},
+	{"fault-jitter", "late, coalesced timer delivery under the media mix",
+		invented(runFaultJitter)},
+	{"fault-policy", "corrupted policy-box input fed to Load mid-run",
+		invented(runFaultPolicy)},
+	{"fleet-spill", "16 tight nodes under a heavy arrival stream: spillover, backoff, rejection",
+		bind(axisPlacement, placements, runFleetSpill)},
+	{"fleet-surge", "48 nodes, correlated interrupt storms over a third of the fleet: shedding and migration",
+		bind(axisPlacement, placements, runFleetSurge)},
+	{"fleet-crash", "120 nodes, roaming crash/restart cycles plus a correlated storm front: recovery",
+		bind(axisPlacement, placements, runFleetCrash)},
 }
 
 // Scenarios lists the registered scenarios.
@@ -403,11 +457,12 @@ func soakBody() task.Body {
 
 // --- scenarios ---
 
-func runSettop(e *env) error {
-	var box *policy.Box
-	if e.spec.Policy == PolicyVideoFirst {
-		box = rankedBox([]share{{"mpeg", 34}, {"3d", 45}, {"modem", 10}})
-	}
+var settopBoxes = []option[rankings]{
+	{PolicyInvent, nil},
+	{PolicyVideoFirst, rankings{{{"mpeg", 34}, {"3d", 45}, {"modem", 10}}}},
+}
+
+func runSettop(e *env, box *policy.Box) error {
 	d := e.start(core.Config{PolicyBox: box})
 
 	modem := workload.NewModem()
@@ -433,14 +488,13 @@ func runSettop(e *env) error {
 	return nil
 }
 
-func runMedia(e *env) error {
-	var box *policy.Box
-	switch e.spec.Policy {
-	case PolicyAudioFirst:
-		box = rankedBox([]share{{"ac3", 12}, {"modem", 10}, {"mpeg", 34}, {"3d", 30}})
-	case PolicyVideoFirst:
-		box = rankedBox([]share{{"mpeg", 34}, {"3d", 45}, {"modem", 10}, {"ac3", 1}})
-	}
+var mediaBoxes = []option[rankings]{
+	{PolicyInvent, nil},
+	{PolicyAudioFirst, rankings{{{"ac3", 12}, {"modem", 10}, {"mpeg", 34}, {"3d", 30}}}},
+	{PolicyVideoFirst, rankings{{{"mpeg", 34}, {"3d", 45}, {"modem", 10}, {"ac3", 1}}}},
+}
+
+func runMedia(e *env, box *policy.Box) error {
 	d := e.start(core.Config{PolicyBox: box})
 
 	modem := workload.NewModem()
@@ -507,18 +561,17 @@ func runOverload(e *env) error {
 	return nil
 }
 
-func runQuiescent(e *env) error {
-	var box *policy.Box
-	switch e.spec.Policy {
-	case PolicyAudioFirst:
-		box = rankedBox(
-			[]share{{"dvd", 70}, {"ac3", 12}, {"modem", 10}},
-			[]share{{"dvd", 80}, {"ac3", 12}})
-	case PolicyVideoFirst:
-		box = rankedBox(
-			[]share{{"dvd", 85}, {"ac3", 1}, {"modem", 10}},
-			[]share{{"dvd", 90}, {"ac3", 1}})
-	}
+var quiescentBoxes = []option[rankings]{
+	{PolicyInvent, nil},
+	{PolicyAudioFirst, rankings{
+		{{"dvd", 70}, {"ac3", 12}, {"modem", 10}},
+		{{"dvd", 80}, {"ac3", 12}}}},
+	{PolicyVideoFirst, rankings{
+		{{"dvd", 85}, {"ac3", 1}, {"modem", 10}},
+		{{"dvd", 90}, {"ac3", 1}}}},
+}
+
+func runQuiescent(e *env, box *policy.Box) error {
 	d := e.start(core.Config{PolicyBox: box})
 
 	if _, err := e.admit(&task.Task{
@@ -555,18 +608,17 @@ func runQuiescent(e *env) error {
 	return nil
 }
 
-func runStudio(e *env) error {
-	var box *policy.Box
-	switch e.spec.Policy {
-	case PolicyAudioFirst:
-		box = rankedBox(
-			[]share{{"mpeg-live", 33}, {"ac3", 25}, {"overlay", 15}, {"modem", 10}, {"sporadic", 1}},
-			[]share{{"mpeg-live", 40}, {"ac3", 25}, {"overlay", 15}, {"sporadic", 1}})
-	case PolicyVideoFirst:
-		box = rankedBox(
-			[]share{{"mpeg-live", 50}, {"ac3", 12}, {"overlay", 20}, {"modem", 10}, {"sporadic", 1}},
-			[]share{{"mpeg-live", 55}, {"ac3", 12}, {"overlay", 20}, {"sporadic", 1}})
-	}
+var studioBoxes = []option[rankings]{
+	{PolicyInvent, nil},
+	{PolicyAudioFirst, rankings{
+		{{"mpeg-live", 33}, {"ac3", 25}, {"overlay", 15}, {"modem", 10}, {"sporadic", 1}},
+		{{"mpeg-live", 40}, {"ac3", 25}, {"overlay", 15}, {"sporadic", 1}}}},
+	{PolicyVideoFirst, rankings{
+		{{"mpeg-live", 50}, {"ac3", 12}, {"overlay", 20}, {"modem", 10}, {"sporadic", 1}},
+		{{"mpeg-live", 55}, {"ac3", 12}, {"overlay", 20}, {"sporadic", 1}}}},
+}
+
+func runStudio(e *env, box *policy.Box) error {
 	d := e.start(core.Config{
 		InterruptReservePercent: 4,
 		PolicyBox:               box,

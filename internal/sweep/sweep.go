@@ -20,6 +20,7 @@ package sweep
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,7 +108,7 @@ func (r RunMetrics) LossRate() float64 {
 type Matrix struct {
 	Scenarios  []string // scenario names; nil means all registered
 	CostModels []string // cost-model names; nil means DefaultCostModels
-	Policies   []string // policy variants; nil means all
+	Policies   []string // policy names; nil means each scenario's whole axis
 	Seeds      []uint64 // one run per seed per cell
 	Horizon    ticks.Ticks
 }
@@ -129,8 +130,10 @@ func SeedRange(base uint64, n int) []uint64 {
 
 // Specs validates the matrix and expands it into the run list, in
 // deterministic order: scenario, then cost model, then policy, then
-// seed. (scenario, policy) combinations the scenario does not support
-// are skipped, so "all policies" is a request, not a constraint.
+// seed. A scenario expands only under the values of its own policy
+// axis: named policies off that axis are skipped, so a policy list is
+// a request, not a constraint. A repeated scenario, cost model,
+// policy or seed is an error, since its runs would be counted twice.
 func (m Matrix) Specs() ([]RunSpec, error) {
 	scs := expandFamilies(m.Scenarios)
 	if len(scs) == 0 {
@@ -140,12 +143,19 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 	if len(cms) == 0 {
 		cms = DefaultCostModels()
 	}
-	pols := m.Policies
-	if len(pols) == 0 {
-		pols = AllPolicies()
-	}
 	if len(m.Seeds) == 0 {
 		return nil, fmt.Errorf("sweep: matrix has no seeds")
+	}
+	for _, pol := range m.Policies {
+		if !knownPolicy(pol) {
+			return nil, fmt.Errorf("sweep: unknown policy %q (have %v)", pol, AllPolicies())
+		}
+	}
+	for _, err := range []error{noRepeats("scenario", scs), noRepeats("cost model", cms),
+		noRepeats("policy", m.Policies), noRepeats("seed", m.Seeds)} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	horizon := m.Horizon
 	if horizon <= 0 {
@@ -158,15 +168,16 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 		if !ok {
 			return nil, fmt.Errorf("sweep: unknown scenario %q (have %v)", scName, ScenarioNames())
 		}
+		pols := m.Policies
+		if len(pols) == 0 {
+			pols = sc.Policies
+		}
 		for _, cm := range cms {
 			if _, ok := costModelByName(cm); !ok {
 				return nil, fmt.Errorf("sweep: unknown cost model %q (have %v)", cm, CostModelNames())
 			}
 			for _, pol := range pols {
-				if !knownPolicy(pol) {
-					return nil, fmt.Errorf("sweep: unknown policy %q (have %v)", pol, AllPolicies())
-				}
-				if !sc.supports(pol) {
+				if !slices.Contains(sc.Policies, pol) {
 					continue
 				}
 				for _, seed := range m.Seeds {
@@ -186,6 +197,19 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 		return nil, fmt.Errorf("sweep: matrix expands to zero runs (no scenario supports the requested policies)")
 	}
 	return specs, nil
+}
+
+// noRepeats reports the first value of a matrix dimension that
+// appears twice.
+func noRepeats[T comparable](dim string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("sweep: matrix names %s %v twice", dim, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // Options controls sweep execution.
@@ -273,12 +297,16 @@ func runOne(spec RunSpec) (out RunMetrics) {
 	if !ok {
 		return RunMetrics{Err: fmt.Sprintf("unknown scenario %q", spec.Scenario)}
 	}
+	run, ok := sc.resolve(spec.Policy)
+	if !ok {
+		return RunMetrics{Err: fmt.Sprintf("scenario %q does not consume policy %q", spec.Scenario, spec.Policy)}
+	}
 	costs, ok := costModelByName(spec.CostModel)
 	if !ok {
 		return RunMetrics{Err: fmt.Sprintf("unknown cost model %q", spec.CostModel)}
 	}
 	e := &env{spec: spec, costs: costs, pr: newProbe()}
-	if err := sc.run(e); err != nil {
+	if err := run(e); err != nil {
 		return RunMetrics{Err: err.Error()}
 	}
 	// A fleet scenario runs a whole cluster; its report replaces the

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,23 +62,20 @@ func TestWorkerCountInvariance(t *testing.T) {
 // goroutines at once and demands identical metrics from each. Under
 // `go test -race` this is the kernel-isolation audit: any shared
 // mutable state between concurrently running kernels shows up as a
-// race or a divergent result.
+// race or a divergent result. Each scenario runs under the first
+// value of its own policy axis.
 func TestConcurrentSameSeedIsolation(t *testing.T) {
-	for _, scenario := range ScenarioNames() {
-		scenario := scenario
-		t.Run(scenario, func(t *testing.T) {
+	for _, sc := range scenarios {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			spec := RunSpec{
-				Scenario:  scenario,
+				Scenario:  sc.Name,
 				CostModel: "paper",
-				Policy:    scenarios[0].Policies[0],
+				Policy:    sc.Policies[0],
 				Seed:      42,
 				Horizon:   200 * ticks.PerMillisecond,
 			}
-			if sc, _ := scenarioByName(scenario); !sc.supports(PolicyInvent) {
-				t.Fatalf("every scenario must support %q", PolicyInvent)
-			}
-			spec.Policy = PolicyInvent
 
 			const n = 8
 			out := make([]RunMetrics, n)
@@ -137,6 +136,21 @@ func TestSpecsExpansion(t *testing.T) {
 	}
 	if _, err := (Matrix{}).Specs(); err == nil {
 		t.Error("matrix without seeds accepted")
+	}
+
+	// A repeated dimension value would run and merge its cells twice.
+	for _, tc := range []struct {
+		m    Matrix
+		want string
+	}{
+		{Matrix{Scenarios: []string{"fault-crash", FaultFamily}, Seeds: []uint64{1}}, "scenario fault-crash"},
+		{Matrix{CostModels: []string{"zero", "paper", "zero"}, Seeds: []uint64{1}}, "cost model zero"},
+		{Matrix{Policies: []string{PolicyInvent, PolicyInvent}, Seeds: []uint64{1}}, "policy invent"},
+		{Matrix{Seeds: []uint64{1, 2, 1}}, "seed 1"},
+	} {
+		if _, err := tc.m.Specs(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("repeated %s: Specs() = %v", tc.want, err)
+		}
 	}
 
 	// overload supports only the invented policy: asking for all
@@ -249,4 +263,75 @@ func TestResultMergeCellOrder(t *testing.T) {
 	if a.Errors() != 1 {
 		t.Errorf("total errors = %d, want 1", a.Errors())
 	}
+}
+
+// TestPolicyAxes checks that every cell the matrix can write is a
+// configuration its runner really receives. Each scenario's axis
+// values must configure pairwise-distinct things; every other policy
+// must expand to zero runs for it and be refused by RunFleetCluster;
+// and the full single-seed matrix must be exactly the consumed cells.
+func TestPolicyAxes(t *testing.T) {
+	var got []int
+	b := bind("test", []option[int]{{"a", 1}, {"b", 2}}, func(_ *env, v int) error {
+		got = append(got, v)
+		return nil
+	})
+	for _, pol := range []string{"b", "a"} {
+		run, ok := b.resolve(pol)
+		if !ok {
+			t.Fatalf("bound value %q does not resolve", pol)
+		}
+		_ = run(nil)
+	}
+	if !reflect.DeepEqual(got, []int{2, 1}) {
+		t.Errorf("runner received %v, want [2 1]", got)
+	}
+	if _, ok := b.resolve("c"); ok {
+		t.Error("unbound value resolved")
+	}
+
+	for _, sc := range scenarios {
+		if len(sc.Policies) == 0 || len(sc.configs) != len(sc.Policies) {
+			t.Fatalf("%s: %d policies, %d configs", sc.Name, len(sc.Policies), len(sc.configs))
+		}
+		for i := range sc.configs {
+			for j := i + 1; j < len(sc.configs); j++ {
+				if sameConfig(sc.configs[i], sc.configs[j]) {
+					t.Errorf("%s: %s and %s configure the same %s",
+						sc.Name, sc.Policies[i], sc.Policies[j], sc.Axis)
+				}
+			}
+		}
+		for _, pol := range AllPolicies() {
+			if slices.Contains(sc.Policies, pol) {
+				continue
+			}
+			_, err := (Matrix{Scenarios: []string{sc.Name}, Policies: []string{pol}, Seeds: []uint64{1}}).Specs()
+			if err == nil || !strings.Contains(err.Error(), "zero runs") {
+				t.Errorf("%s/%s: off-axis policy expanded: %v", sc.Name, pol, err)
+			}
+			spec := RunSpec{Scenario: sc.Name, CostModel: "paper", Policy: pol, Seed: 1, Horizon: 20 * ms}
+			if _, _, err := RunFleetCluster(spec, 1); err == nil {
+				t.Errorf("%s/%s: RunFleetCluster accepted an off-axis policy", sc.Name, pol)
+			}
+		}
+	}
+
+	specs, err := (Matrix{Seeds: []uint64{1}}).Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 80 {
+		t.Errorf("single-seed default matrix = %d specs, want 80", len(specs))
+	}
+}
+
+// sameConfig compares two axis values: constructors by code pointer,
+// everything else by value.
+func sameConfig(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if va.Kind() == reflect.Func && vb.Kind() == reflect.Func {
+		return va.Pointer() == vb.Pointer()
+	}
+	return reflect.DeepEqual(a, b)
 }
