@@ -265,16 +265,10 @@ func expAblateReserve() {
 			InterruptReservePercent: pct,
 			Observer:                rec,
 		})
-		_, _ = d.AddSporadicServer("ss", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-		ids := make([]task.ID, 5)
-		for i := 0; i < 5; i++ {
-			i := i
-			d.At(ticks.Ticks(i)*20*ms, func() {
-				ids[i], _ = d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("t%d", i+2)))
-			})
-		}
+		s := must(workload.Staircase(d, workload.Figure5Arrivals()))
 		d.Run(200 * ms)
-		series := rec.AllocationSeries(ids[0])
+		check(s.Err())
+		series := rec.AllocationSeries(s.Threads[0])
 		var final ticks.Ticks
 		if len(series) > 0 {
 			final = series[len(series)-1].CPU

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/extclock"
 	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/streamer"
@@ -27,34 +26,19 @@ func expBaselines() {
 	fmt.Println()
 
 	// --- MPEG quality in 120% overload ---
-	fsMPEG := workload.NewMPEG()
-	k1 := sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()})
-	fs := baseline.NewFairShare(k1, ms)
-	fs.Add("mpeg", 900_000, 1, fsMPEG)
-	for _, n := range []string{"w1", "w2", "w3"} {
-		fs.Add(n, 10*ms, 1, task.PeriodicWork(3*ms))
-	}
+	fs := baseline.NewFairShare(sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()}), ms)
+	fsMix := workload.MPEGMixOn(fs)
 	fs.RunUntil(horizon)
-	fsMPEG.Flush()
+	fsMix.MPEG.Flush()
 
-	rdMPEG := workload.NewMPEG()
 	d := newDist(core.Config{SwitchCosts: zeroCosts()})
-	_, _ = d.RequestAdmittance(rdMPEG.Task())
-	for _, n := range []string{"w1", "w2", "w3"} {
-		_, _ = d.RequestAdmittance(&task.Task{
-			Name: n,
-			List: task.UniformLevels(10*ms, "W", 30, 20),
-			Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-			}),
-		})
-	}
+	rdMix := must(workload.MPEGMix(d))
 	d.Run(horizon)
-	rdMPEG.Flush()
+	rdMix.MPEG.Flush()
 
 	fmt.Println("MPEG quality over 2s at 120% offered load:")
-	fmt.Printf("  fair share:  %s\n", fsMPEG.Stats().QualityString())
-	fmt.Printf("  distributor: %s\n", rdMPEG.Stats().QualityString())
+	fmt.Printf("  fair share:  %s\n", fsMix.MPEG.Stats().QualityString())
+	fmt.Printf("  distributor: %s\n", rdMix.MPEG.Stats().QualityString())
 	fmt.Println()
 
 	// --- utilization with a variable-demand task ---
@@ -88,9 +72,7 @@ func expBaselines() {
 	ri.AddTask("mpeg", 900_000, 0)
 	rng := sim.NewRNG(5)
 	gop := []workload.FrameType(workload.DefaultGOP)
-	frameBody := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}
-	})
+	frameBody := task.BusySilent()
 	var refusedI, refused, accepted, frame int
 	var schedule func()
 	schedule = func() {
@@ -141,6 +123,7 @@ func expStreamer() {
 		{Period: 270_000, CPU: 27_000, Fn: "StreamLQ", StreamerMBps: 50},
 	}
 	var ch *streamer.Channel
+	spin := task.BusyYield()
 	id, _ := d.RequestAdmittance(&task.Task{
 		Name: "pipeline",
 		List: list,
@@ -150,7 +133,7 @@ func expStreamer() {
 					_ = ch.SetRate(want)
 				}
 			}
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
+			return spin.Run(ctx)
 		}),
 	})
 	ch, _ = e.Open("pipeline", 200)
@@ -205,9 +188,7 @@ func expLatency() {
 	fmt.Println("period, then at the end of the next); Table 4 workload, 10s")
 	rec := recFor(10 * ticks.PerSecond)
 	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
-	_, _ = d.RequestAdmittance(workload.NewGraphics3D(42).Task())
-	_, _ = d.RequestAdmittance(workload.NewMPEG().Task())
+	must(workload.Settop(d, 42))
 	d.Run(10 * ticks.PerSecond)
 	rep := trace.Analyze(rec.Export())
 	grantByName := map[string]rm.Grant{}
@@ -257,17 +238,12 @@ func expNotify() {
 		{Period: 10 * ms, CPU: 4 * ms, Fn: "Hi"},
 		{Period: 10 * ms, CPU: 1 * ms, Fn: "Lo"},
 	}
-	body := func() task.Body {
-		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		})
-	}
 	ids := map[string]task.ID{}
 	for _, n := range []string{"a", "b"} {
-		ids[n], _ = d.RequestAdmittance(&task.Task{Name: n, List: list, Body: body()})
+		ids[n], _ = d.RequestAdmittance(&task.Task{Name: n, List: list, Body: task.BusyYield()})
 	}
 	d.At(100*ms, func() {
-		ids["c"], _ = d.RequestAdmittance(&task.Task{Name: "c", List: list, Body: body()})
+		ids["c"], _ = d.RequestAdmittance(&task.Task{Name: "c", List: list, Body: task.BusyYield()})
 	})
 	d.Run(ticks.PerSecond)
 	var rdMissed int64
@@ -285,56 +261,21 @@ func expNotify() {
 // period is defined by an external crystal drifting against the
 // scheduling clock, with and without InsertIdleCycles compensation.
 func expClock() {
-	const drift = 120.0 // ppm
-	horizon := 10 * ticks.PerSecond
-	extPeriod := ticks.Ticks(270_000)
-	nominal := ticks.Ticks(269_500)
-
-	fmt.Printf("external clock drifts +%.0f ppm; task tracks 100Hz boundaries\n", drift)
+	fmt.Printf("external clock drifts +%.0f ppm; task tracks 100Hz boundaries\n", workload.DisplayDriftPPM)
 	fmt.Println("paper: uncompensated clocks slip a full frame over time; the")
 	fmt.Println("InsertIdleCycles interface postpones periods to stay in phase")
 
-	run := func(compensate bool) (maxErr ticks.Ticks, periods int) {
-		ext := extclock.New(drift, 0)
-		pl, err := extclock.NewPhaseLock(ext, extPeriod, nominal)
-		if err != nil {
-			panic(err)
-		}
+	run := func(compensate bool) *workload.LockedDisplay {
 		d := newDist(core.Config{SwitchCosts: zeroCosts()})
-		var id task.ID
-		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.NewPeriod {
-				periods++
-				if e := pl.PhaseErrorAt(ctx.PeriodStart); e > maxErr && periods > 1 {
-					maxErr = e
-				}
-				if compensate {
-					_ = d.InsertIdleCycles(id, pl.Insertion(ctx.PeriodStart))
-				}
-			}
-			left := 2*ms - ctx.UsedThisPeriod
-			if left <= 0 {
-				return task.RunResult{Op: task.OpYield, Completed: true}
-			}
-			if left > ctx.Span {
-				left = ctx.Span
-			}
-			return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
-		})
-		id, err = d.RequestAdmittance(&task.Task{
-			Name: "display", List: task.SingleLevel(nominal, 2*ms, "Refresh"), Body: body,
-		})
-		if err != nil {
-			panic(err)
-		}
-		d.Run(horizon)
-		return maxErr, periods
+		l := must(workload.PhaseLockedDisplay(d, compensate))
+		d.Run(10 * ticks.PerSecond)
+		check(l.Err())
+		return l
 	}
 
-	rawErr, rawPeriods := run(false)
-	lockErr, lockPeriods := run(true)
+	raw, lock := run(false), run(true)
 	fmt.Printf("  uncompensated: max phase error %6.1f us over %d periods\n",
-		rawErr.MicrosecondsF(), rawPeriods)
+		raw.MaxPhaseError.MicrosecondsF(), raw.Periods)
 	fmt.Printf("  compensated:   max phase error %6.1f us over %d periods\n",
-		lockErr.MicrosecondsF(), lockPeriods)
+		lock.MaxPhaseError.MicrosecondsF(), lock.Periods)
 }

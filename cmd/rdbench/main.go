@@ -113,14 +113,22 @@ func writeManifest(path string, ran []string) {
 	w := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rdbench:", err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
 		w = f
 	}
-	if err := man.WriteJSON(w); err != nil {
+	check(man.WriteJSON(w))
+}
+
+// must unwraps a builder's result, exiting on failure.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// check exits on a failed setup or scheduled step.
+func check(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rdbench:", err)
 		os.Exit(1)
 	}

@@ -200,17 +200,7 @@ func expFig4() {
 	fmt.Println("       data threads busy-wait their grants (the application bug)")
 	rec := recFor(ticks.PerSecond / 3)
 	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	period := ticks.PerSecond / 30
-	_, _ = d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-	yieldAll := func() task.Body {
-		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		})
-	}
-	_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P7"), Body: task.Busy()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D8"), Body: yieldAll()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*ms, "P9"), Body: task.PeriodicWork(3 * ms)})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D10"), Body: yieldAll()})
+	must(workload.Figure4(d))
 	d.Run(ticks.PerSecond / 3)
 	fmt.Println("measured schedule (final 100ms of the 333ms run):")
 	fmt.Println(rec.Gantt(ticks.PerSecond/3-100*ms, ticks.PerSecond/3, 100))
@@ -278,9 +268,7 @@ func expFig4Fix() {
 			})
 		} else {
 			// The buggy original: busy-wait the whole grant.
-			dataBody = task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-			})
+			dataBody = task.BusyYield()
 		}
 
 		_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P"), Body: task.Busy()})
@@ -312,18 +300,12 @@ func expFig5() {
 		InterruptReservePercent: 4,
 		Observer:                rec,
 	})
-	ss, _ := d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-	ids := make([]task.ID, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		d.At(ticks.Ticks(i)*20*ms, func() {
-			ids[i], _ = d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("thread%d", i+2)))
-		})
-	}
+	s := must(workload.Staircase(d, workload.Figure5Arrivals()))
 	d.Run(200 * ms)
+	check(s.Err())
 	fmt.Println("measured allocations (ms CPU per 10ms period):")
-	fmt.Print(rec.AllocationTable(append([]task.ID{ss}, ids...), 150*ms))
+	fmt.Print(rec.AllocationTable(s.IDs(), 150*ms))
 	fmt.Println()
-	fmt.Print(rec.StaircaseChart(ids[0], 150*ms, 75))
+	fmt.Print(rec.StaircaseChart(s.Threads[0], 150*ms, 75))
 	fmt.Printf("deadline misses: %d (paper: guarantees held)\n", rec.MissCount())
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/ticks"
@@ -44,14 +43,12 @@ func expTable4() {
 	fmt.Println("measured grant set (invented 1/3 policy; 3D lands on its nearest")
 	fmt.Println("Table 3 entry, 40%, since grants must map to real levels):")
 	d := newDist(core.Config{SwitchCosts: zeroCosts()})
-	modem, _ := d.RequestAdmittance(workload.NewModem().Task(false))
-	g3d, _ := d.RequestAdmittance(workload.NewGraphics3D(1).Task())
-	mpeg, _ := d.RequestAdmittance(workload.NewMPEG().Task())
+	s := must(workload.Settop(d, 1))
 	gs := d.Grants()
 	for _, row := range []struct {
 		name string
 		id   task.ID
-	}{{"modem", modem}, {"3d", g3d}, {"mpeg", mpeg}} {
+	}{{"modem", s.ModemID}, {"3d", s.G3DID}, {"mpeg", s.MPEGID}} {
 		g := gs[row.id]
 		fmt.Printf("  %-6s %10d %10d %7s  %s\n",
 			row.name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
@@ -94,13 +91,9 @@ func expFig3() {
 	fmt.Println("paper: EDF schedule preempting the MPEG and 3D tasks; modem never preempted")
 	rec := recFor(200 * ms)
 	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
-	_, _ = d.RequestAdmittance(workload.NewGraphics3D(42).Task())
-	_, _ = d.RequestAdmittance(workload.NewMPEG().Task())
+	must(workload.Settop(d, 42))
 	d.Run(200 * ms)
 	fmt.Println("measured schedule, first 200 ms:")
 	fmt.Println(rec.Gantt(0, 200*ms, 110))
 	fmt.Printf("deadline misses: %d (paper guarantee: 0)\n", rec.MissCount())
 }
-
-var _ = rm.Grant{} // keep the import for helpers shared across files

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/extclock"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -31,17 +30,67 @@ const ms = ticks.PerMillisecond
 type scenario struct {
 	name  string
 	desc  string
-	setup func(d *core.Distributor) (quality func())
+	setup func(d *core.Distributor) (outcome, error)
 	// reserve is the interrupt reserve percentage for the run.
 	reserve int64
 }
 
+// outcome is what a scenario's setup leaves for after the run.
+type outcome struct {
+	quality func()       // prints application quality; nil for none
+	err     func() error // the first failure of a scheduled step; nil for none
+}
+
 var scenarios = []scenario{
-	{name: "settop", desc: "modem + 3D + MPEG (Table 4, Figure 3)", setup: setupSettop},
-	{name: "fig4", desc: "four periodic threads + Sporadic Server (Figure 4)", setup: setupFig4},
-	{name: "fig5", desc: "overload staircase (Table 6, Figure 5)", setup: setupFig5, reserve: 4},
-	{name: "quiescent", desc: "DVD + audio + telephone-answering modem (§5.3)", setup: setupQuiescent},
-	{name: "avsync", desc: "display phase-locked to a drifting clock (§5.4)", setup: setupAVSync},
+	{name: "settop", desc: "modem + 3D + MPEG (Table 4, Figure 3)", setup: func(d *core.Distributor) (outcome, error) {
+		s, err := workload.Settop(d, 42)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{quality: func() {
+			s.MPEG.Flush()
+			fmt.Printf("  modem: %s\n", s.Modem.Stats().QualityString())
+			fmt.Printf("  3d:    %s\n", s.G3D.Stats().QualityString())
+			fmt.Printf("  mpeg:  %s\n", s.MPEG.Stats().QualityString())
+		}}, nil
+	}},
+	{name: "fig4", desc: "four periodic threads + Sporadic Server (Figure 4)", setup: func(d *core.Distributor) (outcome, error) {
+		_, err := workload.Figure4(d)
+		return outcome{}, err
+	}},
+	{name: "fig5", desc: "overload staircase (Table 6, Figure 5)", reserve: 4, setup: func(d *core.Distributor) (outcome, error) {
+		s, err := workload.Staircase(d, workload.Figure5Arrivals())
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{err: s.Err}, nil
+	}},
+	{name: "quiescent", desc: "DVD + audio + telephone-answering modem (§5.3)", setup: func(d *core.Distributor) (outcome, error) {
+		q, err := workload.Quiescent(d, 500*ms)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{err: q.Err, quality: func() {
+			q.AC3.Flush()
+			fmt.Printf("  ac3:   %s\n", q.AC3.Stats().QualityString())
+			fmt.Printf("  modem: %s\n", q.Modem.Stats().QualityString())
+		}}, nil
+	}},
+	{name: "avsync", desc: "display phase-locked to a drifting clock (§5.4)", setup: func(d *core.Distributor) (outcome, error) {
+		l, err := workload.PhaseLockedDisplay(d, true)
+		if err != nil {
+			return outcome{}, err
+		}
+		if _, err := d.RequestAdmittance(&task.Task{
+			Name: "worker", List: task.SingleLevel(10*ms, 3*ms, "W"), Body: task.PeriodicWork(3 * ms),
+		}); err != nil {
+			return outcome{}, err
+		}
+		return outcome{err: l.Err, quality: func() {
+			fmt.Printf("  display: %d periods, max phase error %.1fus against the drifting clock\n",
+				l.Periods, l.MaxPhaseError.MicrosecondsF())
+		}}, nil
+	}},
 }
 
 func main() {
@@ -85,8 +134,16 @@ func main() {
 		Observer:                rec,
 		Telemetry:               tel,
 	})
-	quality := sc.setup(d)
+	out, err := sc.setup(d)
+	if err != nil {
+		fatal(err)
+	}
 	d.Run(ticks.FromDuration(*horizon))
+	if out.err != nil {
+		if err := out.err(); err != nil {
+			fatal(err)
+		}
+	}
 
 	fmt.Printf("scenario %q after %v simulated:\n\n", sc.name, *horizon)
 	fmt.Println("grant set:")
@@ -114,9 +171,9 @@ func main() {
 		ks.VolSwitches, ks.InvolSwitches, 100*ks.SwitchOverheadFraction(), ks.IdleTicks)
 	fmt.Printf("deadline misses: %d\n", rec.MissCount())
 
-	if quality != nil {
+	if out.quality != nil {
 		fmt.Println("\napplication quality:")
-		quality()
+		out.quality()
 	}
 
 	if *jsonOut != "" {
@@ -175,122 +232,6 @@ func main() {
 
 // defaultBuild is the -build sentinel meaning "ask git describe".
 const defaultBuild = "auto"
-
-func setupSettop(d *core.Distributor) func() {
-	modem := workload.NewModem()
-	g3d := workload.NewGraphics3D(42)
-	mpeg := workload.NewMPEG()
-	must(d.RequestAdmittance(modem.Task(false)))
-	must(d.RequestAdmittance(g3d.Task()))
-	must(d.RequestAdmittance(mpeg.Task()))
-	return func() {
-		mpeg.Flush()
-		fmt.Printf("  modem: %s\n", modem.Stats().QualityString())
-		fmt.Printf("  3d:    %s\n", g3d.Stats().QualityString())
-		fmt.Printf("  mpeg:  %s\n", mpeg.Stats().QualityString())
-	}
-}
-
-func setupFig4(d *core.Distributor) func() {
-	period := ticks.PerSecond / 30
-	yieldAll := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-	})
-	mustSS(d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true))
-	must(d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P"), Body: task.Busy()}))
-	must(d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D"), Body: yieldAll}))
-	must(d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*ms, "P"), Body: task.PeriodicWork(3 * ms)}))
-	must(d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D"), Body: yieldAll}))
-	return nil
-}
-
-func setupFig5(d *core.Distributor) func() {
-	mustSS(d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true))
-	for i := 0; i < 5; i++ {
-		i := i
-		d.At(ticks.Ticks(i)*20*ms, func() {
-			must(d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("thread%d", i+2))))
-		})
-	}
-	return nil
-}
-
-func setupQuiescent(d *core.Distributor) func() {
-	ac3 := workload.NewAC3()
-	modem := workload.NewModem()
-	must(d.RequestAdmittance(&task.Task{
-		Name: "dvd",
-		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
-	}))
-	must(d.RequestAdmittance(ac3.Task()))
-	modemID, err := d.RequestAdmittance(modem.Task(true))
-	if err != nil {
-		fatal(err)
-	}
-	d.At(500*ms, func() {
-		if err := d.Wake(modemID); err != nil {
-			fatal(err)
-		}
-	})
-	return func() {
-		ac3.Flush()
-		fmt.Printf("  ac3:   %s\n", ac3.Stats().QualityString())
-		fmt.Printf("  modem: %s\n", modem.Stats().QualityString())
-	}
-}
-
-func setupAVSync(d *core.Distributor) func() {
-	ext := extclock.New(120, 0)
-	pl, err := extclock.NewPhaseLock(ext, 270_000, 269_500)
-	if err != nil {
-		fatal(err)
-	}
-	var id task.ID
-	var maxErr ticks.Ticks
-	periods := 0
-	body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		if ctx.NewPeriod {
-			periods++
-			if e := pl.PhaseErrorAt(ctx.PeriodStart); e > maxErr && periods > 1 {
-				maxErr = e
-			}
-			_ = d.InsertIdleCycles(id, pl.Insertion(ctx.PeriodStart))
-		}
-		left := 2*ms - ctx.UsedThisPeriod
-		if left <= 0 {
-			return task.RunResult{Op: task.OpYield, Completed: true}
-		}
-		if left > ctx.Span {
-			left = ctx.Span
-		}
-		return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
-	})
-	id, err = d.RequestAdmittance(&task.Task{
-		Name: "display", List: task.SingleLevel(269_500, 2*ms, "Refresh"), Body: body,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	must(d.RequestAdmittance(&task.Task{
-		Name: "worker", List: task.SingleLevel(10*ms, 3*ms, "W"), Body: task.PeriodicWork(3 * ms),
-	}))
-	return func() {
-		fmt.Printf("  display: %d periods, max phase error %.1fus against the drifting clock\n",
-			periods, maxErr.MicrosecondsF())
-	}
-}
-
-func must(id task.ID, err error) task.ID {
-	if err != nil {
-		fatal(err)
-	}
-	return id
-}
-
-func mustSS(id task.ID, err error) task.ID { return must(id, err) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rdsim:", err)

@@ -170,6 +170,7 @@ var DeterministicPackages = []string{
 	"repro/internal/fleet",
 	"repro/internal/invariant",
 	"repro/internal/telemetry",
+	"repro/internal/workload",
 }
 
 // AdmissionPackages lists the packages whose arithmetic decides

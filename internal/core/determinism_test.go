@@ -15,7 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-// runStudioTrace drives a compressed version of examples/studio — live
+// runStudioTrace drives a compressed version of Example_studio — live
 // MPEG, AC3 audio, an overlay with a shed level, a quiescent modem
 // woken mid-run, a phase-locked display issuing InsertIdleCycles, a
 // Sporadic Server and interrupt load — for three simulated seconds and

@@ -1,13 +1,4 @@
-// Avsync reproduces the §5.4 clock-synchronization scenario the
-// realistic way: a display task paced by an external 100 Hz crystal
-// that drifts against the scheduling clock. The task can only *read*
-// both clocks — it has no access to the true drift — so it estimates
-// the skew from paired readings exactly as the paper prescribes, and
-// stretches its periods with InsertIdleCycles (postpone-only) to stay
-// phase-locked. An uncompensated control run is shown for contrast.
-//
-//	go run ./examples/avsync
-package main
+package extclock_test
 
 import (
 	"fmt"
@@ -19,9 +10,14 @@ import (
 	"repro/internal/ticks"
 )
 
-const ms = ticks.PerMillisecond
-
-func main() {
+// §5.4 the realistic way: a display paced by an external 100 Hz
+// crystal drifting against the scheduling clock. The task can only
+// read both clocks, so it estimates the skew from paired readings and
+// stretches its periods with InsertIdleCycles (postpone-only) to stay
+// phase-locked; the oracle PhaseLock only scores it. An uncompensated
+// control run is shown for contrast.
+func ExampleEstimatingPhaseLock() {
+	const ms = ticks.PerMillisecond
 	const driftPPM = 140.0
 	extPeriod := ticks.Ticks(270_000) // one frame in external ticks
 	nominal := ticks.Ticks(269_200)   // run slightly short; stretch to fit
@@ -43,6 +39,7 @@ func main() {
 
 		var id task.ID
 		var maxErr ticks.Ticks
+		var insertErr error
 		periods := 0
 		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 			if ctx.NewPeriod {
@@ -54,11 +51,8 @@ func main() {
 				}
 				// All the app can do: read both clocks now.
 				lock.Observe(ctx.Now, ext.ReadAt(ctx.Now))
-				if compensate {
-					ins := lock.Insertion(ctx.PeriodStart, ctx.Now, ext.ReadAt(ctx.Now))
-					if err := d.InsertIdleCycles(id, ins); err != nil {
-						log.Fatal(err)
-					}
+				if compensate && insertErr == nil {
+					insertErr = d.InsertIdleCycles(id, lock.Insertion(ctx.PeriodStart, ctx.Now, ext.ReadAt(ctx.Now)))
 				}
 			}
 			left := 2*ms - ctx.UsedThisPeriod
@@ -90,6 +84,9 @@ func main() {
 		}
 
 		d.Run(10 * ticks.PerSecond)
+		if insertErr != nil {
+			log.Fatal(insertErr)
+		}
 
 		mode := "uncompensated"
 		if compensate {
@@ -103,4 +100,14 @@ func main() {
 	fmt.Println("\nuncompensated drift accumulates to a full dropped/duplicated frame;")
 	fmt.Println("the estimator lock holds every period start on a boundary using only")
 	fmt.Println("clock readings, and the postpone-only rule protects the other task.")
+	// Output:
+	// external refresh crystal: 100 Hz, drifting +140 ppm
+	// task period: nominal 269200 ticks, stretched per period
+	//
+	// uncompensated     1003 periods, max phase error   4996.7 us, drift estimate +138.9 ppm, worker misses 0
+	// estimator-locked  1001 periods, max phase error      0.1 us, drift estimate +140.6 ppm, worker misses 0
+	//
+	// uncompensated drift accumulates to a full dropped/duplicated frame;
+	// the estimator lock holds every period start on a boundary using only
+	// clock readings, and the postpone-only rule protects the other task.
 }

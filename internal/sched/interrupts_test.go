@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -8,9 +9,11 @@ import (
 	"repro/internal/ticks"
 )
 
-func TestInterruptLoadWithinReserveKeepsGuarantees(t *testing.T) {
-	// 96% granted (under a 4% reserve) + 3% interrupt load: the
-	// reserve absorbs the interrupts and nothing misses.
+// runInterruptLoad admits four 24% tasks (96% granted under a 4%
+// reserve) and runs them for 2s under an interrupt every 1ms with the
+// given service time, returning the scheduler and the task IDs.
+func runInterruptLoad(t *testing.T, service ticks.Ticks) (*Scheduler, []task.ID) {
+	t.Helper()
 	_, m, s := newSystem(4, sim.ZeroSwitchCosts())
 	ids := make([]task.ID, 0, 4)
 	for i := 0; i < 4; i++ {
@@ -20,45 +23,48 @@ func TestInterruptLoadWithinReserveKeepsGuarantees(t *testing.T) {
 			Body: task.PeriodicWork(24 * ms / 10),
 		}))
 	}
-	// 30us every 1ms = 3%.
-	if err := s.AddInterruptLoad(ms, 30*ticks.PerMicrosecond); err != nil {
+	if err := s.AddInterruptLoad(ms, service); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(2 * ticks.PerSecond)
-	for i, id := range ids {
-		st, _ := s.Stats(id)
-		if st.Misses != 0 {
-			t.Errorf("task %d missed %d deadlines under in-reserve interrupt load", i, st.Misses)
-		}
-		if st.UsedTicks != st.GrantedTicks {
-			t.Errorf("task %d: used %v of %v", i, st.UsedTicks, st.GrantedTicks)
-		}
+	return s, ids
+}
+
+func TestInterruptLoadWithinReserveKeepsGuarantees(t *testing.T) {
+	// Interrupt loads up to the reserve (3%, and 4% exactly — the
+	// knee of §5.2): the reserve absorbs them and nothing misses.
+	for _, us := range []ticks.Ticks{30, 40} {
+		t.Run(fmt.Sprintf("%dus", us), func(t *testing.T) {
+			s, ids := runInterruptLoad(t, us*ticks.PerMicrosecond)
+			for i, id := range ids {
+				st, _ := s.Stats(id)
+				if st.Misses != 0 {
+					t.Errorf("task %d missed %d deadlines under in-reserve interrupt load", i, st.Misses)
+				}
+				if st.UsedTicks != st.GrantedTicks {
+					t.Errorf("task %d: used %v of %v", i, st.UsedTicks, st.GrantedTicks)
+				}
+			}
+		})
 	}
 }
 
 func TestInterruptLoadBeyondReserveCausesMisses(t *testing.T) {
-	// The same 96%-granted set under an 8% interrupt load: the
-	// machine is over-committed and deadlines fall — the §5.2
-	// trade-off seen from the other side.
-	_, m, s := newSystem(4, sim.ZeroSwitchCosts())
-	for i := 0; i < 4; i++ {
-		mustAdmit(t, m, &task.Task{
-			Name: string(rune('a' + i)),
-			List: task.SingleLevel(10*ms, 24*ms/10, "T"),
-			Body: task.PeriodicWork(24 * ms / 10),
+	// Interrupt loads past the reserve (6%, just beyond the knee, and
+	// 8%): the machine is over-committed and deadlines fall — the
+	// §5.2 trade-off seen from the other side.
+	for _, us := range []ticks.Ticks{60, 80} {
+		t.Run(fmt.Sprintf("%dus", us), func(t *testing.T) {
+			s, _ := runInterruptLoad(t, us*ticks.PerMicrosecond)
+			var misses int64
+			for _, id := range s.TaskIDs() {
+				st, _ := s.Stats(id)
+				misses += st.Misses
+			}
+			if misses == 0 {
+				t.Errorf("%d%% interrupt load over a 4%% reserve produced no misses; over-commit undetected", int64(us)/10)
+			}
 		})
-	}
-	if err := s.AddInterruptLoad(ms, 80*ticks.PerMicrosecond); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(2 * ticks.PerSecond)
-	var misses int64
-	for _, id := range s.TaskIDs() {
-		st, _ := s.Stats(id)
-		misses += st.Misses
-	}
-	if misses == 0 {
-		t.Error("8% interrupt load over a 4% reserve produced no misses; over-commit undetected")
 	}
 }
 

@@ -97,51 +97,36 @@ func comparatorTally(m *RunMetrics, c comparator, names []string) {
 // decoder keeps every I frame; under a comparator everyone gets a
 // fair fraction and frames die by accident of timing.
 func runBaselineMedia(e *env, mk newComparator) error {
-	const mpegPeriod = 900_000 // 30 fps
 	if mk == nil {
 		d := e.start(core.Config{})
-		mpeg := workload.NewMPEG()
-		if _, err := e.admit(mpeg.Task()); err != nil {
+		mix, err := workload.MPEGMix(e)
+		if err != nil {
 			return err
 		}
-		for _, n := range []string{"w1", "w2", "w3"} {
-			if _, err := e.admit(&task.Task{
-				Name: n,
-				List: task.UniformLevels(10*ms, "W", 30, 20),
-				Body: busyBody(),
-			}); err != nil {
-				return err
-			}
-		}
 		d.Run(e.spec.Horizon)
-		mpeg.Flush()
-		e.quality = func(m *RunMetrics) {
-			vs := mpeg.Stats()
-			m.Loss = int64(vs.UnplannedLoss)
-			m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss)
-		}
+		mix.MPEG.Flush()
+		e.quality = func(m *RunMetrics) { mpegQuality(m, mix.MPEG) }
 		return nil
 	}
 
 	k := e.startKernel()
 	c := mk(k, e.spec.Seed)
 	c.Instrument(e.tel)
-	mpeg := workload.NewMPEG()
-	c.Add("mpeg", mpegPeriod, 1, mpeg)
-	names := []string{"mpeg"}
-	for _, n := range []string{"w1", "w2", "w3"} {
-		c.Add(n, 10*ms, 1, task.PeriodicWork(3*ms))
-		names = append(names, n)
-	}
+	mix := workload.MPEGMixOn(c)
 	c.RunUntil(e.spec.Horizon)
-	mpeg.Flush()
+	mix.MPEG.Flush()
 	e.quality = func(m *RunMetrics) {
-		vs := mpeg.Stats()
-		m.Loss = int64(vs.UnplannedLoss)
-		m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss)
-		comparatorTally(m, c, names)
+		mpegQuality(m, mix.MPEG)
+		comparatorTally(m, c, mix.Names)
 	}
 	return nil
+}
+
+// mpegQuality folds the decoder's unplanned losses into the metrics.
+func mpegQuality(m *RunMetrics, mpeg *workload.MPEG) {
+	vs := mpeg.Stats()
+	m.Loss = int64(vs.UnplannedLoss)
+	m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss)
 }
 
 // baselineGenMix draws the jittered overload mix shared by RD and
@@ -185,13 +170,13 @@ func runBaselineOverload(e *env, mk newComparator) error {
 		for i := range specs {
 			g := specs[i]
 			d.At(g.at, func() {
-				_, _ = e.admit(&task.Task{
+				_, _ = e.RequestAdmittance(&task.Task{
 					Name: g.name,
 					List: task.ResourceList{
 						{Period: g.period, CPU: g.cpu, Fn: "Gen"},
 						{Period: g.period, CPU: g.shed, Fn: "GenShed"},
 					},
-					Body:      busyBody(),
+					Body:      task.BusyYield(),
 					Semantics: task.ReturnSemantics,
 				})
 			})

@@ -62,17 +62,17 @@ func expandFamilies(names []string) []string {
 // and completing each period. Multi-level lists give the Policy Box
 // something to shed when a fault forces degradation.
 func (e *env) faultBaseline() error {
-	if _, err := e.admit(&task.Task{
+	if _, err := e.RequestAdmittance(&task.Task{
 		Name: "video",
 		List: task.UniformLevels(10*ms, "Video", 30, 20, 10),
-		Body: busyBody(),
+		Body: task.BusyYield(),
 	}); err != nil {
 		return err
 	}
-	if _, err := e.admit(&task.Task{
+	if _, err := e.RequestAdmittance(&task.Task{
 		Name: "audio",
 		List: task.UniformLevels(20*ms, "Audio", 10, 5),
-		Body: busyBody(),
+		Body: task.BusyYield(),
 	}); err != nil {
 		return err
 	}

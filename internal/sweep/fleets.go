@@ -56,6 +56,7 @@ var placements = []option[fleet.Placement]{
 func fleetBody(life int) func() task.Body {
 	return func() task.Body {
 		periods := 0
+		spin := task.BusyYield()
 		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 			if ctx.NewPeriod {
 				periods++
@@ -63,7 +64,7 @@ func fleetBody(life int) func() task.Body {
 					return task.RunResult{Op: task.OpExit}
 				}
 			}
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
+			return spin.Run(ctx)
 		})
 	}
 }

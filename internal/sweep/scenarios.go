@@ -320,10 +320,23 @@ func (e *env) withInvariants() {
 	e.chk.LogTo(&e.flog)
 }
 
-// admit requests admittance, recording the request time for admission
-// latency (quiescent tasks are recorded at Wake instead — see wake)
+// The run harness is the workload.Host the scenario builders admit
+// through: it forwards to the run's Distributor, recording request
+// times for admission latency and counting denials.
+var _ workload.Host = (*env)(nil)
+
+// At schedules fn at virtual time at.
+func (e *env) At(at ticks.Ticks, fn func()) { e.d.At(at, fn) }
+
+// InsertIdleCycles postpones a task's next period start (§5.4).
+func (e *env) InsertIdleCycles(id task.ID, n ticks.Ticks) error {
+	return e.d.InsertIdleCycles(id, n)
+}
+
+// RequestAdmittance requests admittance, recording the request time
+// for admission latency (quiescent tasks are recorded at Wake instead)
 // and counting denials.
-func (e *env) admit(t *task.Task) (task.ID, error) {
+func (e *env) RequestAdmittance(t *task.Task) (task.ID, error) {
 	id, err := e.d.RequestAdmittance(t)
 	if err != nil {
 		e.denied++
@@ -335,10 +348,10 @@ func (e *env) admit(t *task.Task) (task.ID, error) {
 	return id, nil
 }
 
-// wake returns a quiescent task to service; its admission latency
+// Wake returns a quiescent task to service; its admission latency
 // clock starts here (a quiescent task consumes nothing on purpose, so
 // measuring from RequestAdmittance would time the phone not ringing).
-func (e *env) wake(id task.ID) error {
+func (e *env) Wake(id task.ID) error {
 	if err := e.d.Wake(id); err != nil {
 		return err
 	}
@@ -346,8 +359,9 @@ func (e *env) wake(id task.ID) error {
 	return nil
 }
 
-// server admits a Sporadic Server, recording it like admit.
-func (e *env) server(name string, list task.ResourceList, alwaysOvertime bool) (task.ID, error) {
+// AddSporadicServer admits a Sporadic Server, recording it like
+// RequestAdmittance.
+func (e *env) AddSporadicServer(name string, list task.ResourceList, alwaysOvertime bool) (task.ID, error) {
 	id, err := e.d.AddSporadicServer(name, list, alwaysOvertime)
 	if err != nil {
 		e.denied++
@@ -439,22 +453,6 @@ func scenarioByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// busyBody returns a body that consumes its whole span and reports
-// completion — the DVD/overlay idiom from the examples.
-func busyBody() task.Body {
-	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-	})
-}
-
-// soakBody returns a sporadic body that always wants more time, like
-// the studio indexer.
-func soakBody() task.Body {
-	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}
-	})
-}
-
 // --- scenarios ---
 
 var settopBoxes = []option[rankings]{
@@ -464,24 +462,15 @@ var settopBoxes = []option[rankings]{
 
 func runSettop(e *env, box *policy.Box) error {
 	d := e.start(core.Config{PolicyBox: box})
-
-	modem := workload.NewModem()
-	if _, err := e.admit(modem.Task(false)); err != nil {
-		return err
-	}
-	g3d := workload.NewGraphics3D(sim.SplitSeed(e.spec.Seed, streamGraphics))
-	if _, err := e.admit(g3d.Task()); err != nil {
-		return err
-	}
-	mpeg := workload.NewMPEG()
-	if _, err := e.admit(mpeg.Task()); err != nil {
+	s, err := workload.Settop(e, sim.SplitSeed(e.spec.Seed, streamGraphics))
+	if err != nil {
 		return err
 	}
 
 	d.Run(e.spec.Horizon)
-	mpeg.Flush()
+	s.MPEG.Flush()
 	e.quality = func(m *RunMetrics) {
-		vs, mo := mpeg.Stats(), modem.Stats()
+		vs, mo := s.MPEG.Stats(), s.Modem.Stats()
 		m.Loss = int64(vs.UnplannedLoss + mo.Overruns)
 		m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss + mo.Serviced + mo.Overruns)
 	}
@@ -498,19 +487,19 @@ func runMedia(e *env, box *policy.Box) error {
 	d := e.start(core.Config{PolicyBox: box})
 
 	modem := workload.NewModem()
-	if _, err := e.admit(modem.Task(false)); err != nil {
+	if _, err := e.RequestAdmittance(modem.Task(false)); err != nil {
 		return err
 	}
 	ac3 := workload.NewAC3()
-	if _, err := e.admit(ac3.Task()); err != nil {
+	if _, err := e.RequestAdmittance(ac3.Task()); err != nil {
 		return err
 	}
 	g3d := workload.NewGraphics3D(sim.SplitSeed(e.spec.Seed, streamGraphics))
-	if _, err := e.admit(g3d.Task()); err != nil {
+	if _, err := e.RequestAdmittance(g3d.Task()); err != nil {
 		return err
 	}
 	mpeg := workload.NewMPEG()
-	if _, err := e.admit(mpeg.Task()); err != nil {
+	if _, err := e.RequestAdmittance(mpeg.Task()); err != nil {
 		return err
 	}
 
@@ -529,23 +518,23 @@ func runMedia(e *env, box *policy.Box) error {
 func runOverload(e *env) error {
 	d := e.start(core.Config{InterruptReservePercent: 4})
 
-	if _, err := e.server("sporadic", task.SingleLevel(2_700_000, 27_000, "SporadicServer"), true); err != nil {
-		return err
-	}
-	d.AddSporadic("soaker", soakBody())
-
 	// Figure 5's 20 ms stagger, jittered per seed so the admission
 	// points (and hence the staircase boundaries) vary across runs.
 	rng := sim.NewRNG(sim.SplitSeed(e.spec.Seed, streamStress))
-	for i := 0; i < 5; i++ {
-		at := ticks.Ticks(i)*20*ms + ticks.FromMilliseconds(int64(rng.Intn(6)))
-		name := fmt.Sprintf("thread%d", i+2)
-		d.At(at, func() {
-			_, _ = e.admit(workload.BusyLoopTask(name))
-		})
+	arrivals := workload.Figure5Arrivals()
+	for i := range arrivals {
+		arrivals[i] += ticks.FromMilliseconds(int64(rng.Intn(6)))
 	}
+	s, err := workload.Staircase(e, arrivals)
+	if err != nil {
+		return err
+	}
+	d.AddSporadic("soaker", task.BusySilent())
 
 	d.Run(e.spec.Horizon)
+	if err := s.Err(); err != nil {
+		return err
+	}
 	e.quality = func(m *RunMetrics) {
 		// Figure 5's claim is "no missed deadlines through every
 		// admission": loss here is guarantee violations per period.
@@ -573,35 +562,19 @@ var quiescentBoxes = []option[rankings]{
 
 func runQuiescent(e *env, box *policy.Box) error {
 	d := e.start(core.Config{PolicyBox: box})
-
-	if _, err := e.admit(&task.Task{
-		Name: "dvd",
-		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: busyBody(),
-	}); err != nil {
-		return err
-	}
-	ac3 := workload.NewAC3()
-	if _, err := e.admit(ac3.Task()); err != nil {
-		return err
-	}
-	modem := workload.NewModem()
-	modemID, err := e.admit(modem.Task(true))
+	// The telephone rings halfway through the run.
+	q, err := workload.Quiescent(e, e.spec.Horizon/2)
 	if err != nil {
 		return err
 	}
-	// The telephone rings halfway through the run; the woken modem
-	// cannot be denied (§5.3).
-	d.At(e.spec.Horizon/2, func() {
-		if err := e.wake(modemID); err != nil {
-			panic(fmt.Sprintf("sweep: wake quiescent modem: %v", err))
-		}
-	})
 
 	d.Run(e.spec.Horizon)
-	ac3.Flush()
+	if err := q.Err(); err != nil {
+		return err
+	}
+	q.AC3.Flush()
 	e.quality = func(m *RunMetrics) {
-		as, mo := ac3.Stats(), modem.Stats()
+		as, mo := q.AC3.Stats(), q.Modem.Stats()
 		m.Loss = int64(as.Dropouts + mo.Overruns)
 		m.Opportunities = int64(as.Frames + as.Dropouts + mo.Serviced + mo.Overruns)
 	}
@@ -627,47 +600,47 @@ func runStudio(e *env, box *policy.Box) error {
 
 	stream := workload.NewTransportStream(d, 900_000, 6)
 	dec := workload.NewStreamedMPEG(stream)
-	mpegID, err := e.admit(dec.Task())
+	mpegID, err := e.RequestAdmittance(dec.Task())
 	if err != nil {
 		return err
 	}
 	stream.Start(d, mpegID)
 
 	ac3 := workload.NewAC3()
-	if _, err := e.admit(ac3.Task()); err != nil {
+	if _, err := e.RequestAdmittance(ac3.Task()); err != nil {
 		return err
 	}
-	if _, err := e.admit(&task.Task{
+	if _, err := e.RequestAdmittance(&task.Task{
 		Name: "overlay",
 		List: task.ResourceList{
 			{Period: 10 * ms, CPU: 2 * ms, Fn: "OverlayFull", StreamerMBps: 80},
 			{Period: 10 * ms, CPU: 1 * ms, Fn: "OverlayHalf", StreamerMBps: 40},
 		},
-		Body:      busyBody(),
+		Body:      task.BusyYield(),
 		Semantics: task.ReturnSemantics,
 	}); err != nil {
 		return err
 	}
 	modem := workload.NewModem()
-	modemID, err := e.admit(modem.Task(true))
+	modemID, err := e.RequestAdmittance(modem.Task(true))
 	if err != nil {
 		return err
 	}
-	d.At(e.spec.Horizon/2, func() {
-		if err := e.wake(modemID); err != nil {
-			panic(fmt.Sprintf("sweep: wake quiescent modem: %v", err))
-		}
-	})
+	var wakeErr error
+	d.At(e.spec.Horizon/2, func() { wakeErr = e.Wake(modemID) })
 
-	if _, err := e.server("sporadic", task.SingleLevel(10*ms, ms/2, "SS"), true); err != nil {
+	if _, err := e.AddSporadicServer("sporadic", task.SingleLevel(10*ms, ms/2, "SS"), true); err != nil {
 		return err
 	}
-	d.AddSporadic("indexer", soakBody())
+	d.AddSporadic("indexer", task.BusySilent())
 	if err := d.AddInterruptLoad(ms, 25*ticks.PerMicrosecond); err != nil {
 		return err
 	}
 
 	d.Run(e.spec.Horizon)
+	if wakeErr != nil {
+		return fmt.Errorf("sweep: wake quiescent modem: %w", wakeErr)
+	}
 	ac3.Flush()
 	e.quality = func(m *RunMetrics) {
 		ss, ds, as, mo := stream.Stats(), dec.Stats(), ac3.Stats(), modem.Stats()
@@ -711,7 +684,7 @@ func runStress(e *env) error {
 		spec := &task.Task{Name: name, List: list, Body: stressBody(exitAfter, &periodsRun)}
 		wantDonor := exitAfter == 0
 		d.At(at, func() {
-			id, err := e.admit(spec)
+			id, err := e.RequestAdmittance(spec)
 			if err == nil && wantDonor && donor == task.NoID {
 				donor = id
 			}
@@ -721,7 +694,7 @@ func runStress(e *env) error {
 	// Mid-run sporadic machinery: a general §5.1 grant assignment to a
 	// sporadic task, then removal of that task while the assignment
 	// may still be active — the RemoveSporadic regression surface.
-	sp := d.AddSporadic("burst", soakBody())
+	sp := d.AddSporadic("burst", task.BusySilent())
 	d.At(100*ms, func() {
 		if donor != task.NoID {
 			_ = d.AssignGrant(donor, sp, 40*ms)
@@ -743,6 +716,7 @@ func runStress(e *env) error {
 // periods, and exit after exitAfter periods (0 = never).
 func stressBody(exitAfter int, periodsRun *int64) task.Body {
 	periods := 0
+	spin := task.BusyYield()
 	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 		if ctx.NewPeriod {
 			periods++
@@ -751,6 +725,6 @@ func stressBody(exitAfter int, periodsRun *int64) task.Body {
 				return task.RunResult{Op: task.OpExit}
 			}
 		}
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
+		return spin.Run(ctx)
 	})
 }

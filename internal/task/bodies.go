@@ -25,6 +25,16 @@ func BusySilent() Body {
 	})
 }
 
+// BusyYield consumes everything offered, then yields and reports the
+// period's work complete. It models the Table 6 BusyLoop() threads,
+// which yield "when preemption is required", and any task whose work
+// is exactly its grant.
+func BusyYield() Body {
+	return BodyFunc(func(ctx RunContext) RunResult {
+		return RunResult{Used: ctx.Span, Op: OpYield, Completed: true}
+	})
+}
+
 // PeriodicWork returns a body that performs exactly work ticks of CPU
 // each period and then yields, reporting completion. Progress is
 // tracked through ctx.UsedThisPeriod, so the body itself is

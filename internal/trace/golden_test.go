@@ -1,5 +1,6 @@
 // Golden-file coverage for the paper-figure renders and the JSON
-// export. The three runs mirror rdbench's fig3/fig4/fig5 experiments;
+// export. The three runs build their task sets through the workload
+// builders rdbench's fig3/fig4/fig5 experiments use;
 // the rendered text and exported bytes are pinned under testdata/ so
 // any change to the recorder, the renderers, or the export encoding
 // shows up as a reviewable diff. Regenerate with
@@ -10,7 +11,6 @@ package trace_test
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -55,23 +55,23 @@ func zeroCosts() *sim.SwitchCosts {
 
 // fig3Run is the Table 4 set (modem + 3D + MPEG) under EDF, the run
 // behind Figure 3.
-func fig3Run() *trace.Recorder {
+func fig3Run(t *testing.T) *trace.Recorder {
 	rec := trace.New()
 	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
-	_, _ = d.RequestAdmittance(workload.NewGraphics3D(42).Task())
-	_, _ = d.RequestAdmittance(workload.NewMPEG().Task())
+	if _, err := workload.Settop(d, 42); err != nil {
+		t.Fatal(err)
+	}
 	d.Run(200 * gms)
 	return rec
 }
 
 func TestGoldenFig3Gantt(t *testing.T) {
-	rec := fig3Run()
+	rec := fig3Run(t)
 	checkGolden(t, "fig3.gantt.golden", []byte(rec.Gantt(0, 100*gms, 110)+"\n"))
 }
 
 func TestGoldenFig3Export(t *testing.T) {
-	rec := fig3Run()
+	rec := fig3Run(t)
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -81,53 +81,44 @@ func TestGoldenFig3Export(t *testing.T) {
 
 // fig4Run is the §6.5 first run: four periodic threads plus the
 // Sporadic Server, the run behind Figure 4.
-func fig4Run() *trace.Recorder {
+func fig4Run(t *testing.T) *trace.Recorder {
 	rec := trace.New()
 	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	period := ticks.PerSecond / 30
-	yieldAll := func() task.Body {
-		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		})
+	if _, err := workload.Figure4(d); err != nil {
+		t.Fatal(err)
 	}
-	_, _ = d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-	_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*gms, "P7"), Body: task.Busy()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*gms, "D8"), Body: yieldAll()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*gms, "P9"), Body: task.PeriodicWork(3 * gms)})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*gms, "D10"), Body: yieldAll()})
 	d.Run(ticks.PerSecond / 3)
 	return rec
 }
 
 func TestGoldenFig4Gantt(t *testing.T) {
-	rec := fig4Run()
+	rec := fig4Run(t)
 	checkGolden(t, "fig4.gantt.golden",
 		[]byte(rec.Gantt(ticks.PerSecond/3-100*gms, ticks.PerSecond/3, 100)+"\n"))
 }
 
 // fig5Run is the §6.5 overload staircase: busy-loop threads admitted
 // every 20ms against a 4% interrupt reserve, the run behind Figure 5.
-func fig5Run() (*trace.Recorder, []task.ID) {
+func fig5Run(t *testing.T) (*trace.Recorder, []task.ID) {
 	rec := trace.New()
 	d := core.New(core.Config{
 		SwitchCosts:             zeroCosts(),
 		InterruptReservePercent: 4,
 		Observer:                rec,
 	})
-	ss, _ := d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-	ids := make([]task.ID, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		d.At(ticks.Ticks(i)*20*gms, func() {
-			ids[i], _ = d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("thread%d", i+2)))
-		})
+	s, err := workload.Staircase(d, workload.Figure5Arrivals())
+	if err != nil {
+		t.Fatal(err)
 	}
 	d.Run(200 * gms)
-	return rec, append([]task.ID{ss}, ids...)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rec, s.IDs()
 }
 
 func TestGoldenFig5Staircase(t *testing.T) {
-	rec, ids := fig5Run()
+	rec, ids := fig5Run(t)
 	var buf bytes.Buffer
 	buf.WriteString(rec.AllocationTable(ids, 150*gms))
 	buf.WriteString("\n")
@@ -136,7 +127,7 @@ func TestGoldenFig5Staircase(t *testing.T) {
 }
 
 func TestGoldenFig5Export(t *testing.T) {
-	rec, _ := fig5Run()
+	rec, _ := fig5Run(t)
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

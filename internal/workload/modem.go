@@ -81,11 +81,7 @@ func BusyLoopTask(name string) *task.Task {
 	return &task.Task{
 		Name: name,
 		List: task.UniformLevels(270_000, "BusyLoop", 90, 80, 70, 60, 50, 40, 30, 20, 10),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			// Consume the whole grant, then yield "when preemption is
-			// required" as the Figure 5 threads do.
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
+		Body: task.BusyYield(),
 	}
 }
 
@@ -97,11 +93,9 @@ func CoolDown(percent int) *task.Task {
 		percent = 30
 	}
 	return &task.Task{
-		Name: "cooldown",
-		List: task.UniformLevels(270_000, "NoOpLoop", percent),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
+		Name:           "cooldown",
+		List:           task.UniformLevels(270_000, "NoOpLoop", percent),
+		Body:           task.BusyYield(),
 		StartQuiescent: true,
 	}
 }

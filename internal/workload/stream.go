@@ -31,6 +31,24 @@ type Waker interface {
 	Unblock(id task.ID) error
 }
 
+// Host is the part of the Distributor the scenario builders admit
+// their tasks through (see scenarios.go). *core.Distributor satisfies
+// it; so does the sweep's run harness, which records admission times
+// and counts denials on the way through.
+type Host interface {
+	At(at ticks.Ticks, fn func())
+	RequestAdmittance(t *task.Task) (task.ID, error)
+	AddSporadicServer(name string, list task.ResourceList, alwaysOvertime bool) (task.ID, error)
+	Wake(id task.ID) error
+	InsertIdleCycles(id task.ID, n ticks.Ticks) error
+}
+
+// Comparator is the part of a proportional-share scheduler from
+// internal/baseline that MPEGMixOn adds its tasks to.
+type Comparator interface {
+	Add(name string, period ticks.Ticks, weight int64, body task.Body)
+}
+
 // TransportStream is the arrival side: a GOP-structured frame source
 // paced at interval ticks per frame.
 type TransportStream struct {

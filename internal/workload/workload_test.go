@@ -10,8 +10,6 @@ import (
 	"repro/internal/ticks"
 )
 
-const ms = ticks.PerMillisecond
-
 func zeroCosts() *sim.SwitchCosts {
 	c := sim.ZeroSwitchCosts()
 	return &c
