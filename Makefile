@@ -2,11 +2,13 @@ GO ?= go
 
 # The benchmarks tracked in the committed BENCH_*.json baselines (see
 # docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the end-to-
-# end Table 2 workload, and the substrate micro-benchmarks.
-BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord
+# end Table 2 workload, RM admission (accepted and refused), a settop
+# and a first-fit fleet-crash sweep cell, and the substrate
+# micro-benchmarks.
+BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|FleetCrashCell|Admission|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord
 BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry
 
-.PHONY: all build test race lint vet fuzz-smoke invariance-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
+.PHONY: all build test race fmt-check lint vet fuzz-smoke invariance-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
 
 all: build test lint
 
@@ -18,6 +20,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Formatting gate: any Go file of the checkout (tracked, or new and
+# not ignored) that gofmt would rewrite fails the build. The analyzer
+# fixtures under internal/analysis/testdata/ are exempt: they are
+# inputs to the analyzer tests, kept exactly as written.
+fmt-check:
+	@out=$$(git ls-files -co --exclude-standard '*.go' | grep -v '^internal/analysis/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The blocking lint gate (see docs/LINTING.md): rdlint standalone —
 # all analyzers including the cross-package dataflow suite, the
@@ -145,4 +155,4 @@ bench-smoke:
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
 			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op
 
-ci: build vet test race lint fuzz-smoke invariance-smoke flight-smoke telemetry-smoke bench-smoke
+ci: build fmt-check vet test race lint fuzz-smoke invariance-smoke flight-smoke telemetry-smoke bench-smoke

@@ -152,18 +152,27 @@ func BenchmarkSwitchOverheadMPEGAC3(b *testing.B) {
 
 // --- §6.2: admission control (constant time) ---
 
+// BenchmarkAdmission times one admission test at 1, 10 and 100
+// residents: a 0.1% probe that is accepted (and removed again off the
+// clock), and the same probe refused by a Manager whose residents
+// fill the CPU. Both must stay flat in the resident count.
 func BenchmarkAdmission(b *testing.B) {
-	for _, n := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("resident-%d", n), func(b *testing.B) {
-			m := rm.New(rm.Config{})
-			list := task.SingleLevel(270*ms, 270*ms/1000, "T") // 0.1%
-			body := task.Busy()
-			for i := 0; i < n; i++ {
-				if _, err := m.RequestAdmittance(&task.Task{Name: fmt.Sprintf("r%d", i), List: list, Body: body}); err != nil {
-					b.Fatal(err)
-				}
+	probeList := task.SingleLevel(270*ms, 270*ms/1000, "T") // 0.1%
+	body := task.Busy()
+	residents := func(b *testing.B, n int, list task.ResourceList) *rm.Manager {
+		m := rm.New(rm.Config{})
+		for i := 0; i < n; i++ {
+			if _, err := m.RequestAdmittance(&task.Task{Name: fmt.Sprintf("r%d", i), List: list, Body: body}); err != nil {
+				b.Fatal(err)
 			}
-			probe := &task.Task{Name: "probe", List: list, Body: body}
+		}
+		return m
+	}
+	probe := &task.Task{Name: "probe", List: probeList, Body: body}
+	for _, n := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("accept/residents=%d", n), func(b *testing.B) {
+			m := residents(b, n, probeList)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id, err := m.RequestAdmittance(probe)
@@ -173,6 +182,16 @@ func BenchmarkAdmission(b *testing.B) {
 				b.StopTimer()
 				_ = m.Remove(id)
 				b.StartTimer()
+			}
+		})
+		b.Run(fmt.Sprintf("reject/residents=%d", n), func(b *testing.B) {
+			m := residents(b, n, task.SingleLevel(270*ms, 270*ms/ticks.Ticks(n), "F")) // 100%/n each
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.RequestAdmittance(probe); err == nil {
+					b.Fatal("a full Manager admitted the probe")
+				}
 			}
 		})
 	}

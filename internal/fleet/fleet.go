@@ -42,9 +42,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -125,7 +126,7 @@ type Config struct {
 	// Placement selects the admission scan order.
 	Placement Placement
 	// Retry bounds the fleet-wide retry loop (defaults: 4 attempts,
-	// 5 ms base, 80 ms cap).
+	// 5 ms base, and a cap of 80 ms or the base, whichever is larger).
 	Retry RetryPolicy
 	// MigrationCost is the state-transfer charge a migration's target
 	// node pays, delivered as one interrupt slab (default 100 µs).
@@ -174,12 +175,19 @@ type Admission struct {
 	// Name is the task name offered to node RMs (policy boxes rank
 	// by name, so recurring names inherit node-local policies).
 	Name string
-	// List is the resource list; each placement attempt offers a
-	// clone.
+	// List is the resource list; each placement scan offers a clone.
 	List task.ResourceList
-	// Body builds a fresh task body per placement attempt — bodies
-	// carry progress state, and a re-placed task restarts.
+	// Body builds a fresh task body per placement scan that reaches a
+	// live node — bodies carry progress state, and a re-placed task
+	// restarts.
 	Body func() task.Body
+}
+
+// probe builds the task one placement scan offers to each live node
+// in turn. A node that refuses it keeps nothing of it, so the scan
+// needs only the one.
+func (a *Admission) probe() *task.Task {
+	return &task.Task{Name: a.Name, List: a.List.Clone(), Body: a.Body()}
 }
 
 type admState uint8
@@ -195,13 +203,13 @@ const (
 // admRec is the cluster ledger entry for one admission.
 type admRec struct {
 	Admission
-	seq        int
-	state      admState
-	node       int
-	id         task.ID
-	attempts   int
-	recovering bool
-	crashAt    ticks.Ticks
+	seq            int
+	state          admState
+	node           int
+	id             task.ID
+	attempts       int
+	recovering     bool
+	crashAt        ticks.Ticks
 	timesLost      int
 	timesRecovered int
 
@@ -471,6 +479,11 @@ type Cluster struct {
 	unarrived                                        int64
 	recoveryMS                                       metrics.Summary
 
+	// order and loads are placementOrder's scratch: the offer order it
+	// returns is valid until its next call.
+	order []int
+	loads []ticks.Frac
+
 	cPlaced, cSpill, cRetry, cReject, cMigrate *telemetry.Counter
 	cCrash, cRestart, cLost, cRecovered, cDrop *telemetry.Counter
 	cFlightDump                                *telemetry.Counter
@@ -498,7 +511,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Retry.Base = 5 * ticks.PerMillisecond
 	}
 	if cfg.Retry.Max < cfg.Retry.Base {
-		cfg.Retry.Max = 80 * ticks.PerMillisecond
+		cfg.Retry.Max = max(80*ticks.PerMillisecond, cfg.Retry.Base)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -512,6 +525,8 @@ func New(cfg Config) (*Cluster, error) {
 		backoff: sim.NewRNG(sim.SplitSeed(cfg.Seed, StreamBackoff)),
 		tel:     telemetry.NewSet(),
 		flight:  telemetry.NewFlight(cfg.FlightSpans, cfg.FlightEvents),
+		order:   make([]int, cfg.Nodes),
+		loads:   make([]ticks.Frac, cfg.Nodes),
 	}
 	// The coordinator's span log records every fleet decision (bounded
 	// by the admission pipeline, so always-full retention is cheap);
@@ -774,12 +789,16 @@ func (c *Cluster) flightScan(now ticks.Ticks) {
 // or records the admission's terminal outcome.
 func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 	denials := 0
+	var probe *task.Task
 	for _, ni := range c.placementOrder(a) {
 		n := c.nodes[ni]
 		if n.down || n.stallErr != "" {
 			continue
 		}
-		id, err := n.d.RequestAdmittance(&task.Task{Name: a.Name, List: a.List.Clone(), Body: a.Body()})
+		if probe == nil {
+			probe = a.probe()
+		}
+		id, err := n.d.RequestAdmittance(probe)
 		if err != nil {
 			denials++
 			c.deniedAttempts++
@@ -861,17 +880,26 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 	c.flog.Record(now, "fleet.reject", fmt.Sprintf("%s rejected fleet-wide (%s)", a.Name, why))
 }
 
-// placementOrder lists node IDs in the policy's offer order.
+// placementOrder lists node IDs in the policy's offer order, in the
+// cluster's scratch slice: the result is valid until the next call.
 func (c *Cluster) placementOrder(a *admRec) []int {
 	n := len(c.nodes)
-	order := make([]int, n)
+	order := c.order
 	for i := range order {
 		order[i] = i
 	}
 	switch c.cfg.Placement {
 	case LeastLoaded:
-		sort.SliceStable(order, func(i, j int) bool {
-			return c.nodes[order[i]].load().Cmp(c.nodes[order[j]].load()) < 0
+		for i, nd := range c.nodes {
+			c.loads[i] = nd.load()
+		}
+		// Load, then node ID: the order a stable sort by load over
+		// the ID-ordered list gives.
+		slices.SortFunc(order, func(x, y int) int {
+			if d := c.loads[x].Cmp(c.loads[y]); d != 0 {
+				return d
+			}
+			return cmp.Compare(x, y)
 		})
 	case RoundRobinHash:
 		start := int(fnv64(a.Name) % uint64(n))
@@ -1001,6 +1029,7 @@ func (c *Cluster) migrationScan(now ticks.Ticks) {
 }
 
 func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
+	var probe *task.Task
 	for _, ni := range c.placementOrder(a) {
 		t := c.nodes[ni]
 		if ni == src.id || t.down || t.d == nil || t.stallErr != "" {
@@ -1009,7 +1038,10 @@ func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
 		if t.d.Manager().Pressure().Cmp(ticks.FracZero) > 0 {
 			continue
 		}
-		id, err := t.d.RequestAdmittance(&task.Task{Name: a.Name, List: a.List.Clone(), Body: a.Body()})
+		if probe == nil {
+			probe = a.probe()
+		}
+		id, err := t.d.RequestAdmittance(probe)
 		if err != nil {
 			c.deniedAttempts++
 			continue

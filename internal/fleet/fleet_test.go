@@ -229,6 +229,81 @@ func TestSpilloverBackoffAndRejection(t *testing.T) {
 	}
 }
 
+// A placement scan builds one probe task and offers it to each live
+// node until one accepts: a scan calls the body factory at most once,
+// however many nodes refuse it, and every refusal still reaches the
+// node's RM and counts on its rm.admit.rejected.
+func TestRefusedProbesShareOneBodyPerScan(t *testing.T) {
+	c := mustNew(t, fleet.Config{
+		Nodes: 2, Seed: 3, Workers: 1,
+		Retry: fleet.RetryPolicy{MaxAttempts: 3, Base: 5 * ms, Max: 40 * ms},
+	})
+	calls := map[string]int{}
+	for i := 0; i < 5; i++ {
+		name := "w" + string(rune('0'+i))
+		body := steadyBody()
+		mustSubmit(t, c, fleet.Admission{
+			At:   0,
+			Name: name,
+			List: task.SingleLevel(10*ms, 4*ms, "Fleet"), // 40% each; 2 fit per node
+			Body: func() task.Body { calls[name]++; return body() },
+		})
+	}
+	rep := c.Run(150 * ms)
+	// w0..w3 place on their first scan, w2 and w3 after node 0
+	// refuses them; both nodes refuse w4 on each of its three scans.
+	want := map[string]int{"w0": 1, "w1": 1, "w2": 1, "w3": 1, "w4": 3}
+	for name, n := range want {
+		if calls[name] != n {
+			t.Errorf("%s: body factory called %d times, want %d (one per scan)", name, calls[name], n)
+		}
+	}
+	if rep.DeniedAttempts != 8 {
+		t.Fatalf("denied attempts %d, want 8 (w2, w3 once each; w4 twice per scan): %s",
+			rep.DeniedAttempts, rep.Summary())
+	}
+	var rejected int64
+	for i := 0; i < c.NodeCount(); i++ {
+		if ctr, ok := c.Node(i).Telemetry().Reg().Lookup("rm.admit.rejected"); ok {
+			rejected += ctr.Value()
+		}
+	}
+	if rejected != rep.DeniedAttempts {
+		t.Errorf("nodes counted %d rm.admit.rejected, want every denied attempt (%d)", rejected, rep.DeniedAttempts)
+	}
+}
+
+// An unset retry cap never undercuts the base: the first backoff
+// waits at least Base even when Base exceeds the 80 ms default cap,
+// and at most Base plus its half-delay jitter.
+func TestRetryDefaultCapKeepsBase(t *testing.T) {
+	const base = 200 * ms
+	c := mustNew(t, fleet.Config{
+		Nodes: 1, Seed: 5, Workers: 1, Epoch: ms,
+		Retry: fleet.RetryPolicy{MaxAttempts: 2, Base: base},
+	})
+	mustSubmit(t, c, fleet.Admission{
+		At: 0, Name: "hog", List: task.SingleLevel(10*ms, 9*ms, "Fleet"), Body: steadyBody(),
+	})
+	mustSubmit(t, c, fleet.Admission{
+		At: 0, Name: "late", List: task.SingleLevel(10*ms, 5*ms, "Fleet"), Body: steadyBody(),
+	})
+	rep := c.Run(400 * ms)
+	var second ticks.Ticks = -1
+	rep.Log.All(func(ev metrics.Event) bool {
+		if ev.Kind == "fleet.reject" {
+			second = ev.At
+			return false
+		}
+		return true
+	})
+	// The second attempt runs at the first 1 ms barrier at or after
+	// its due time.
+	if second < base || second > base+base/2+ms {
+		t.Fatalf("second attempt at %v, want within [%v, %v]:\n%s", second, base, base+base/2+ms, rep.Log.String())
+	}
+}
+
 // A denied admission retried after capacity frees up lands on its
 // retry — the backoff loop is a real second chance, not a formality.
 func TestRetrySucceedsWhenCapacityFrees(t *testing.T) {

@@ -193,15 +193,19 @@ func (c *Checker) OnDispatch(id task.ID, name string, from, to ticks.Ticks, kind
 }
 
 // OnPeriodStart closes the task's previous period (auditing it) and
-// opens the new one. It also runs the system-wide checks — committed
-// fraction and structural audit — at what is the natural heartbeat of
-// the schedule.
+// opens the new one in the same record. It also runs the system-wide
+// checks — committed fraction and structural audit — at what is the
+// natural heartbeat of the schedule.
 func (c *Checker) OnPeriodStart(id task.ID, start, deadline ticks.Ticks, level int, cpu ticks.Ticks) {
 	c.seq++
-	if p, ok := c.open[id]; ok {
+	p, ok := c.open[id]
+	if ok {
 		c.closePeriod(id, p, start)
+	} else {
+		p = new(period)
+		c.open[id] = p
 	}
-	c.open[id] = &period{start: start, deadline: deadline, cpu: cpu}
+	*p = period{start: start, deadline: deadline, cpu: cpu}
 	c.checkCommitted(start)
 	c.checkStructure(start)
 	if c.next != nil {
@@ -259,7 +263,6 @@ func (c *Checker) OnBlock(id task.ID, at ticks.Ticks) {
 // silent miss: CPU the task was guaranteed, did not get, and no record
 // of the failure anywhere.
 func (c *Checker) closePeriod(id task.ID, p *period, at ticks.Ticks) {
-	delete(c.open, id)
 	c.periodsClosed++
 	if p.voided || p.missRecorded || p.wentOvertime || p.delivered >= p.cpu {
 		return

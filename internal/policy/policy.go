@@ -16,7 +16,7 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -50,7 +50,7 @@ func (p Policy) Members() []MemberID {
 	for m := range p.Shares {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -152,7 +152,7 @@ func (b *Box) MemberOf(name string) MemberID { return b.byName[name] }
 func keyOf(members []MemberID) string {
 	ms := make([]MemberID, len(members))
 	copy(ms, members)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	slices.Sort(ms)
 	var b strings.Builder
 	for i, m := range ms {
 		if i > 0 {
@@ -243,10 +243,7 @@ func (b *Box) Invent(active []MemberID) Policy {
 	for _, m := range active {
 		shares[m] = each
 	}
-	ms := make([]MemberID, len(active))
-	copy(ms, active)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	return Policy{Shares: shares, Exclusive: ms[0], Invented: true}
+	return Policy{Shares: shares, Exclusive: slices.Min(active), Invented: true}
 }
 
 // Table5 installs the paper's example Policy Box (Table 5) over four

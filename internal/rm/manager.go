@@ -55,6 +55,41 @@ var (
 	ErrUnknownTask = errors.New("rm: unknown task")
 )
 
+// AdmissionError is the refusal RequestAdmittance returns when the
+// CPU or Data Streamer minimum-sum check fails. It holds the failing
+// dimension's numbers and formats its text only when Error is called,
+// so a refused probe costs the comparison, not a formatted string.
+// errors.Is matches it against ErrAdmissionDenied (CPU) or
+// ErrStreamerDenied (Streamer).
+type AdmissionError struct {
+	// Streamer is set when the Data Streamer bandwidth check failed;
+	// otherwise the CPU check did.
+	Streamer bool
+	// MinSum is the CPU minimum-rate sum admission would have made,
+	// of Available schedulable (CPU denials).
+	MinSum, Available ticks.Frac
+	// DemandMBps is the minimum Streamer bandwidth sum admission
+	// would have made, of CapacityMBps (Streamer denials).
+	DemandMBps, CapacityMBps int64
+}
+
+func (e *AdmissionError) Error() string {
+	if e.Streamer {
+		return fmt.Sprintf("%v: min demands would be %d of %d MB/s",
+			ErrStreamerDenied, e.DemandMBps, e.CapacityMBps)
+	}
+	return fmt.Sprintf("%v: min sum would be %.4f of %.4f schedulable",
+		ErrAdmissionDenied, e.MinSum.Float(), e.Available.Float())
+}
+
+// Unwrap returns the sentinel of the failing dimension.
+func (e *AdmissionError) Unwrap() error {
+	if e.Streamer {
+		return ErrStreamerDenied
+	}
+	return ErrAdmissionDenied
+}
+
 // admitted is the Manager's record of one admitted task.
 type admitted struct {
 	id     task.ID
@@ -185,30 +220,31 @@ func (m *Manager) MinSum() ticks.Frac { return m.minSum }
 // admitted, recomputes the grant set (§4.1). The returned ID
 // identifies the task in all later calls. The admission test is O(1):
 // the new task's minimum rate is added to the running sum and
-// compared with the schedulable CPU.
+// compared with the schedulable CPU. The checks read t.List in place;
+// only an admitted task's list is copied, so a refused t is left
+// exactly as it came and the Manager keeps nothing of it. A CPU or
+// Streamer refusal is an *AdmissionError.
 func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	m.lastOp = OpStats{Op: "admit"}
 	if err := t.Validate(); err != nil {
 		return task.NoID, err
 	}
-	list := t.List.Clone()
-	newSum := m.minSum.Add(list.MinFrac())
+	newSum := m.minSum.Add(t.List.MinFrac())
 	m.lastOp.AdmissionChecks = 1
 	if !newSum.LessOrEqual(m.Available()) {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: cpu")
-		return task.NoID, fmt.Errorf("%w: min sum would be %.4f of %.4f schedulable",
-			ErrAdmissionDenied, newSum.Float(), m.Available().Float())
+		return task.NoID, &AdmissionError{MinSum: newSum, Available: m.Available()}
 	}
-	newStreamer := m.minStreamerSum + list.Min().StreamerMBps
+	newStreamer := m.minStreamerSum + t.List.Min().StreamerMBps
 	if !m.streamer.Fits(newStreamer) {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: streamer")
-		return task.NoID, fmt.Errorf("%w: min demands would be %d of %d MB/s",
-			ErrStreamerDenied, newStreamer, m.streamer.StreamerMBps)
+		return task.NoID, &AdmissionError{Streamer: true, DemandMBps: newStreamer, CapacityMBps: m.streamer.StreamerMBps}
 	}
-	if list.MinNeedsFFU() && m.ffuResidents > 0 {
+	if t.List.MinNeedsFFU() && m.ffuResidents > 0 {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: ffu")
 		return task.NoID, ErrFFUDenied
 	}
+	list := t.List.Clone()
 	id := m.nextID
 	m.nextID++
 	a := &admitted{

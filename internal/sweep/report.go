@@ -37,7 +37,7 @@ type Cell struct {
 	Denied         int64
 	FaultsInjected int64 // fault events fired by armed injectors
 
-	StreamerBytes  int64 // DMA payload completed, summed over runs
+	StreamerBytes int64 // DMA payload completed, summed over runs
 
 	// Fleet-layer totals (fleet-* cells; zero elsewhere).
 	Spillovers   int64
