@@ -3,9 +3,9 @@ GO ?= go
 # The benchmarks tracked in the committed BENCH_*.json baselines (see
 # docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the end-to-
 # end Table 2 workload, RM admission (accepted and refused), a settop
-# and a first-fit fleet-crash sweep cell, and the substrate
-# micro-benchmarks.
-BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|FleetCrashCell|Admission|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord
+# and a first-fit fleet-crash sweep cell, the substrate
+# micro-benchmarks, and the streaming manifest encoder.
+BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|FleetCrashCell|Admission|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|ManifestWriteJSON
 BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry
 
 .PHONY: all build test race fmt-check lint vet fuzz-smoke invariance-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
@@ -46,14 +46,16 @@ vet:
 	$(GO) vet -vettool=$(CURDIR)/rdlint.bin ./...
 	rm -f $(CURDIR)/rdlint.bin
 
-# Short fuzz runs of the exact-arithmetic kernels, plus the scenario
-# invariant sweep in internal/core (a regular test, fuzz-like in
-# spirit).
+# Short fuzz runs of the exact-arithmetic kernels, the policy box, the
+# manifest reader and the manifest writer (against encoding/json), plus
+# the scenario invariant sweep in internal/core (a regular test,
+# fuzz-like in spirit).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFracAdd -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzTickConversions -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzBoxLoad -fuzztime=10s ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=10s ./internal/telemetry
+	$(GO) test -run=NONE -fuzz=FuzzManifestWriteJSON -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
 # Worker-invariance smoke: the sweep engine, fault injector,

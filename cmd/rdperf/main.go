@@ -271,11 +271,12 @@ func cmdCompare(args []string) error {
 }
 
 // lowerIsBetter says which direction is a regression for a unit.
-// Throughput-style units grow when things improve; everything the Go
-// benchmark framework emits natively (ns/op, B/op, allocs/op) and the
+// Throughput-style units (per second: the framework's MB/s from
+// SetBytes, custom x/sec) grow when things improve; everything else
+// the Go benchmark framework emits (ns/op, B/op, allocs/op) and the
 // repo's custom per-run counters shrink.
 func lowerIsBetter(unit string) bool {
-	return !strings.Contains(unit, "/sec")
+	return !strings.HasSuffix(unit, "/s") && !strings.Contains(unit, "/sec")
 }
 
 // report prints the delta table and returns the number of regressions

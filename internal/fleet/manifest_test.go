@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/sweep"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -286,5 +287,49 @@ func TestStitchOfWrittenPartsMatchesLiveManifest(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("stitching the written per-part manifests diverged from the live cluster manifest")
+	}
+}
+
+// WriteJSON is a hand-written streaming encoder pinned to encoding/
+// json's indented output. On a live 120-node fleet-crash cluster (full
+// span logs, cross-node links, black-box dumps) the stitched, the
+// coordinator and a per-node manifest must all encode byte for byte as
+// encoding/json encodes them.
+func TestFleetCrashManifestsMatchEncodingJSON(t *testing.T) {
+	c, _, err := sweep.RunFleetCluster(sweep.RunSpec{
+		Scenario: "fleet-crash", CostModel: "paper", Policy: "rr-hash", Seed: 1, Horizon: 200 * ms,
+	}, 2)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	cluster, err := c.Manifest()
+	if err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	coord, err := c.CoordManifest()
+	if err != nil {
+		t.Fatalf("coord manifest: %v", err)
+	}
+	node, err := c.NodeManifest(0)
+	if err != nil {
+		t.Fatalf("node manifest: %v", err)
+	}
+	if len(cluster.Spans) == 0 || len(coord.Spans) == 0 || len(node.Spans) == 0 || len(cluster.FlightDumps) == 0 {
+		t.Fatalf("want span logs on every part and a black-box dump: cluster %d, coord %d, node %d spans, %d dumps",
+			len(cluster.Spans), len(coord.Spans), len(node.Spans), len(cluster.FlightDumps))
+	}
+	for name, m := range map[string]*telemetry.Manifest{"cluster": cluster, "coord": coord, "node 0": node} {
+		var got, want bytes.Buffer
+		if err := m.WriteJSON(&got); err != nil {
+			t.Fatalf("%s: WriteJSON: %v", name, err)
+		}
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(m); err != nil {
+			t.Fatalf("%s: encoding/json: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s manifest: WriteJSON (%d bytes) differs from encoding/json (%d bytes)", name, got.Len(), want.Len())
+		}
 	}
 }

@@ -115,26 +115,34 @@ func (m *Manifest) SetEvents(l *metrics.EventLog) {
 	})
 }
 
-// WriteJSON writes the manifest as deterministic, indented JSON with a
-// trailing newline. Field order is fixed by the struct; slices are in
-// record or name-sorted order; nothing consults maps at encode time.
-func (m *Manifest) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
-// ReadManifest decodes and structurally validates a manifest.
+// ReadManifest decodes and structurally validates a manifest. The
+// input holds exactly one document: only whitespace may follow it.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&m); err != nil {
+	if err := decodeOne(r, &m); err != nil {
 		return nil, fmt.Errorf("telemetry: manifest: %v", err)
 	}
 	if err := ValidateManifest(&m); err != nil {
 		return nil, err
 	}
 	return &m, nil
+}
+
+// decodeOne decodes one JSON value from r into v and rejects anything
+// but whitespace after it: trailing garbage, or a second document.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("trailing data after offset %d", dec.InputOffset())
+	default:
+		return fmt.Errorf("trailing data: %v", err)
+	}
 }
 
 // ValidateManifest checks a manifest's structural invariants: a known

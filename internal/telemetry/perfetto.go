@@ -216,15 +216,15 @@ func WritePerfetto(w io.Writer, m *Manifest) error {
 }
 
 // ValidatePerfetto decodes Chrome trace-event JSON and checks the
-// structural rules Perfetto relies on: a traceEvents array, a known
-// phase on every event, non-negative times and durations, matching
-// b/e pairs per (cat, id), and matching s/f flow pairs per (cat, id)
-// with no step or finish before its start. telemetry-smoke and
-// flight-smoke run it over the exported artifacts.
+// structural rules Perfetto relies on: one JSON document with only
+// whitespace after it, a traceEvents array, a known phase on every
+// event, non-negative times and durations, matching b/e pairs per
+// (cat, id), and matching s/f flow pairs per (cat, id) with no step or
+// finish before its start. telemetry-smoke and flight-smoke run it
+// over the exported artifacts.
 func ValidatePerfetto(r io.Reader) error {
 	var f perfettoFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeOne(r, &f); err != nil {
 		return fmt.Errorf("telemetry: perfetto: %v", err)
 	}
 	if len(f.TraceEvents) == 0 {

@@ -335,6 +335,34 @@ func TestReadManifestRejectsUnknownSchema(t *testing.T) {
 	}
 }
 
+// A manifest file holds one document. Whitespace may follow it (every
+// file WriteJSON writes ends in a newline); anything else is an error.
+func TestReadManifestTrailingData(t *testing.T) {
+	var one strings.Builder
+	if err := sampleManifest().WriteJSON(&one); err != nil {
+		t.Fatal(err)
+	}
+	doc := one.String()
+	cases := []struct {
+		name, in string
+		ok       bool
+	}{
+		{"written", doc, true},
+		{"trailingWhitespace", `{"schema":"rdtel/v2","seed":1}` + " \t\r\n\n", true},
+		{"trailingGarbage", `{"schema":"rdtel/v2","seed":1} trailing garbage`, false},
+		{"twoManifests", doc + doc, false},
+		{"twoCompact", `{"schema":"rdtel/v2","seed":1}{"schema":"rdtel/v2","seed":2}`, false},
+		{"strayClose", `{"schema":"rdtel/v2","seed":1}}`, false},
+		{"trailingNumber", `{"schema":"rdtel/v2","seed":1} 7`, false},
+	}
+	for _, c := range cases {
+		_, err := ReadManifest(strings.NewReader(c.in))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: ReadManifest err = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestConfigDigestStable(t *testing.T) {
 	type cfg struct {
 		Scenario string
@@ -388,13 +416,16 @@ func TestWritePerfettoDeterministicAndValid(t *testing.T) {
 
 func TestValidatePerfettoRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"empty":        `{"traceEvents":[]}`,
-		"unknownPhase": `{"traceEvents":[{"name":"x","ph":"Z","ts":0,"pid":1,"tid":1}]}`,
-		"negativeTime": `{"traceEvents":[{"name":"x","ph":"i","ts":-1,"pid":1,"tid":1}]}`,
-		"endNoBegin":   `{"traceEvents":[{"name":"x","cat":"period","ph":"e","ts":0,"pid":1,"tid":1,"id":1}]}`,
-		"beginNoEnd":   `{"traceEvents":[{"name":"x","cat":"period","ph":"b","ts":0,"pid":1,"tid":1,"id":1}]}`,
-		"noTraceKey":   `{"displayTimeUnit":"ms"}`,
-		"notJSON":      `]`,
+		"empty":           `{"traceEvents":[]}`,
+		"unknownPhase":    `{"traceEvents":[{"name":"x","ph":"Z","ts":0,"pid":1,"tid":1}]}`,
+		"negativeTime":    `{"traceEvents":[{"name":"x","ph":"i","ts":-1,"pid":1,"tid":1}]}`,
+		"endNoBegin":      `{"traceEvents":[{"name":"x","cat":"period","ph":"e","ts":0,"pid":1,"tid":1,"id":1}]}`,
+		"beginNoEnd":      `{"traceEvents":[{"name":"x","cat":"period","ph":"b","ts":0,"pid":1,"tid":1,"id":1}]}`,
+		"noTraceKey":      `{"displayTimeUnit":"ms"}`,
+		"notJSON":         `]`,
+		"trailingGarbage": `{"traceEvents":[{"name":"x","ph":"i","ts":0,"pid":1,"tid":1}]} trailing garbage`,
+		"twoDocuments": `{"traceEvents":[{"name":"x","ph":"i","ts":0,"pid":1,"tid":1}]}` +
+			`{"traceEvents":[{"name":"x","ph":"i","ts":0,"pid":1,"tid":1}]}`,
 		"finishNoStart": `{"traceEvents":[` +
 			`{"name":"causal","cat":"fleet-link","ph":"f","bp":"e","ts":0,"pid":1,"tid":1,"id":9}]}`,
 		"stepNoStart": `{"traceEvents":[` +
@@ -406,5 +437,9 @@ func TestValidatePerfettoRejectsMalformed(t *testing.T) {
 		if err := ValidatePerfetto(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: expected validation error", name)
 		}
+	}
+	ok := `{"traceEvents":[{"name":"x","ph":"i","ts":0,"pid":1,"tid":1}]}` + "\n \n"
+	if err := ValidatePerfetto(strings.NewReader(ok)); err != nil {
+		t.Errorf("trailing whitespace must be accepted: %v", err)
 	}
 }
