@@ -2,10 +2,11 @@ GO ?= go
 
 # The benchmarks tracked in the committed BENCH_*.json baselines (see
 # docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the end-to-
-# end Table 2 workload, RM admission (accepted and refused), a settop
-# and a first-fit fleet-crash sweep cell, the substrate
+# end Table 2 workload, RM admission (accepted and refused), §6.3 grant
+# recomputation (underload and overload at 4, 16 and 64 tasks), a
+# settop and a first-fit fleet-crash sweep cell, the substrate
 # micro-benchmarks, and the streaming manifest encoder.
-BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|FleetCrashCell|Admission|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|ManifestWriteJSON
+BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|FleetCrashCell|Admission|BenchmarkGrantSet$$|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|ManifestWriteJSON
 BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry
 
 .PHONY: all build test race fmt-check lint vet fuzz-smoke invariance-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci

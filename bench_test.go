@@ -201,11 +201,11 @@ func BenchmarkAdmission(b *testing.B) {
 
 func BenchmarkGrantSet(b *testing.B) {
 	for _, overload := range []bool{false, true} {
-		for _, n := range []int{2, 10, 50} {
-			name := fmt.Sprintf("underload-%d", n)
+		for _, n := range []int{4, 16, 64} {
+			name := fmt.Sprintf("underload/n=%d", n)
 			list := task.UniformLevels(270_000, "T", 1)
 			if overload {
-				name = fmt.Sprintf("overload-%d", n)
+				name = fmt.Sprintf("overload/n=%d", n)
 				list = task.UniformLevels(270_000, "T", 90, 50, 20, 10, 5, 2, 1)
 			}
 			b.Run(name, func(b *testing.B) {
@@ -219,6 +219,7 @@ func BenchmarkGrantSet(b *testing.B) {
 					}
 					last = id
 				}
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// Toggling quiescence forces a full grant-set

@@ -287,9 +287,9 @@ func (c *Checker) checkCommitted(at ticks.Ticks) {
 		return
 	}
 	if gen := c.m.GrantGeneration(); !c.sumValid || gen != c.sumGen {
-		gs := c.m.Grants()
+		gs, ids := c.m.Committed()
 		sum := ticks.FracZero
-		for _, id := range gs.IDs() {
+		for _, id := range ids {
 			sum = sum.Add(gs[id].Entry.Frac())
 		}
 		c.sum, c.sumGen, c.sumValid = sum, gen, true

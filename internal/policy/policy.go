@@ -104,6 +104,12 @@ type Box struct {
 	builtin map[string]Policy // designer defaults, keyed by member set
 	user    map[string]Policy // user overrides, consulted first
 
+	// sorted and key are SharesFor's scratch: the running set in
+	// ascending order and its key bytes, reused across consults so a
+	// lookup allocates nothing.
+	sorted []MemberID
+	key    []byte
+
 	tel boxTelemetry
 }
 
@@ -153,14 +159,19 @@ func keyOf(members []MemberID) string {
 	ms := make([]MemberID, len(members))
 	copy(ms, members)
 	slices.Sort(ms)
-	var b strings.Builder
-	for i, m := range ms {
+	return string(appendKey(nil, ms))
+}
+
+// appendKey appends the policy key of an ascending member set to dst:
+// the member IDs in decimal, comma-separated.
+func appendKey(dst []byte, sorted []MemberID) []byte {
+	for i, m := range sorted {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.Itoa(int(m)))
+		dst = strconv.AppendInt(dst, int64(m), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // SetDefault installs a designer-supplied policy for the member set
@@ -214,36 +225,75 @@ func (b *Box) Len() int {
 // if neither matches the exact set, the Box invents an even split
 // (§6.3: "the current implementation invents a policy in which each
 // of N threads receives 1/Nth of the resources, and an arbitrary
-// thread is given control of exclusive resources").
+// thread is given control of exclusive resources"). It is SharesFor
+// with the shares gathered into a fresh Ranking.
 func (b *Box) PolicyFor(active []MemberID) Policy {
+	shares := make([]int, len(active))
+	exclusive, invented := b.SharesFor(active, shares)
+	return policyOf(active, shares, exclusive, invented)
+}
+
+// SharesFor is the Policy Box lookup: it finds the policy governing
+// active exactly as PolicyFor describes and writes each member's share
+// into shares, aligned with active (shares[i] is active[i]'s share;
+// len(shares) must be at least len(active)). It returns the policy's
+// exclusive-resource holder and its Invented mark. Every
+// call counts one consult, and an invented policy one invent. A Box
+// that stores no policy invents without building a key, and a stored
+// lookup reuses the Box's key scratch, so a consult allocates nothing.
+func (b *Box) SharesFor(active []MemberID, shares []int) (exclusive MemberID, invented bool) {
 	b.tel.consults.Inc()
-	if len(active) == 0 {
-		return Policy{Shares: Ranking{}, Invented: true}
+	if len(b.user) > 0 || len(b.builtin) > 0 {
+		b.sorted = append(b.sorted[:0], active...)
+		slices.Sort(b.sorted)
+		b.key = appendKey(b.key[:0], b.sorted)
+		p, ok := b.user[string(b.key)]
+		if !ok {
+			p, ok = b.builtin[string(b.key)]
+		}
+		if ok {
+			for i, m := range active {
+				shares[i] = p.Shares[m]
+			}
+			return p.Exclusive, p.Invented
+		}
 	}
-	k := keyOf(active)
-	if p, ok := b.user[k]; ok {
-		return p
-	}
-	if p, ok := b.builtin[k]; ok {
-		return p
-	}
-	return b.Invent(active)
+	b.tel.invents.Inc()
+	return invent(active, shares), true
 }
 
 // Invent fabricates the 1/N policy for the given members. The
 // "arbitrary thread" given exclusive resources is the lowest-numbered
 // member, which makes invention deterministic and start-order
 // independent (a first principle: policy must not depend on accidents
-// of timing or creation order).
+// of timing or creation order). An empty member set gets the empty
+// invented policy.
 func (b *Box) Invent(active []MemberID) Policy {
 	b.tel.invents.Inc()
-	n := len(active)
-	shares := make(Ranking, n)
-	each := 100 / n
-	for _, m := range active {
-		shares[m] = each
+	shares := make([]int, len(active))
+	return policyOf(active, shares, invent(active, shares), true)
+}
+
+// invent writes the 1/N split of active into shares and returns the
+// member given exclusive resources (NoMember for an empty set).
+func invent(active []MemberID, shares []int) MemberID {
+	if len(active) == 0 {
+		return NoMember
 	}
-	return Policy{Shares: shares, Exclusive: slices.Min(active), Invented: true}
+	each := 100 / len(active)
+	for i := range active {
+		shares[i] = each
+	}
+	return slices.Min(active)
+}
+
+// policyOf gathers member-aligned shares into a Policy.
+func policyOf(active []MemberID, shares []int, exclusive MemberID, invented bool) Policy {
+	r := make(Ranking, len(active))
+	for i, m := range active {
+		r[m] = shares[i]
+	}
+	return Policy{Shares: r, Exclusive: exclusive, Invented: invented}
 }
 
 // Table5 installs the paper's example Policy Box (Table 5) over four

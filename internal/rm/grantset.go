@@ -1,7 +1,10 @@
 package rm
 
 import (
+	"slices"
+
 	"repro/internal/policy"
+	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
@@ -26,16 +29,16 @@ func (m *Manager) LastOp() OpStats { return m.lastOp }
 // recomputeGrants is grant control (§4.1): called when a task enters
 // or leaves the system, changes its resource list, or changes
 // quiescence. It produces a complete new grant set and flags it for
-// Scheduler pickup.
+// Scheduler pickup. Its working lists live in m.scratch, so a
+// recompute allocates only the grant set it commits and that set's
+// ID list.
 func (m *Manager) recomputeGrants() {
 	active := m.nonQuiescent()
 	m.lastOp.Threads = len(active)
 	m.tel.recomputes.Inc()
-	old := m.grants
 
-	gs := make(GrantSet, len(active))
 	if len(active) == 0 {
-		m.commit(old, gs)
+		m.commit(active, make(GrantSet))
 		return
 	}
 
@@ -49,36 +52,51 @@ func (m *Manager) recomputeGrants() {
 		m.ffuMaxCount <= 1 {
 		m.lastOp.FastPath = true
 		m.tel.fastPath.Inc()
+		gs := make(GrantSet, len(active))
 		for _, a := range active {
 			gs[a.id] = Grant{Task: a.id, Level: 0, Entry: a.list.Max()}
 		}
-		m.commit(old, gs)
+		m.commit(active, gs)
 		return
 	}
 
 	// Overload: consult the Policy Box for the set of admitted,
 	// non-quiescent threads (§4.3).
 	m.lastOp.PolicyConsulted = true
-	members := make([]policy.MemberID, len(active))
-	for i, a := range active {
-		members[i] = a.member
+	sc := &m.scratch
+	sc.members = sc.members[:0]
+	for _, a := range active {
+		sc.members = append(sc.members, a.member)
 	}
-	pol := m.box.PolicyFor(members)
-	m.lastOp.PolicyInvented = pol.Invented
+	sc.shares = slices.Grow(sc.shares[:0], len(active))[:len(active)]
+	exclusive, invented := m.box.SharesFor(sc.members, sc.shares)
+	m.lastOp.PolicyInvented = invented
 	m.tel.consults.Inc()
-	if pol.Invented {
+	if invented {
 		m.tel.invents.Inc()
 		m.tel.spans.Instant(m.telNow(), "policy", "consult", telemetry.NoTask, 0, "invented")
 	} else {
 		m.tel.spans.Instant(m.telNow(), "policy", "consult", telemetry.NoTask, 0, "stored")
 	}
 
-	gs = m.correlate(active, pol)
-	m.commit(old, gs)
+	m.commit(active, m.correlate(active, sc.shares, exclusive))
+}
+
+// scratch is the grant computation's working memory. The Manager owns
+// it and every recompute reuses it; nothing in it outlives the
+// recomputeGrants call that filled it.
+type scratch struct {
+	active  []*admitted       // non-quiescent records, ascending ID
+	members []policy.MemberID // active's policy members
+	shares  []int             // active's policy shares
+	cands   []cand            // correlation state, aligned with active
+	order   []int             // a walk order over cands
 }
 
 // correlate implements the §6.3 three-pass algorithm that maps a
 // policy's relative rankings onto the threads' actual resource lists.
+// shares holds each active thread's policy share and exclusive the
+// policy's exclusive-resource holder.
 //
 // Pass 1: for each thread, note the entries just above and just below
 // the policy-specified rate; if the sum of the "above" entries fits,
@@ -87,25 +105,23 @@ func (m *Manager) recomputeGrants() {
 // policies that fit; the minimum-entry fallback is covered by the
 // admission guarantee). Pass 3: if substantial resources remain
 // unused, look for threads that can use them.
-func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
+func (m *Manager) correlate(active []*admitted, shares []int, exclusive policy.MemberID) GrantSet {
 	n := len(active)
 	avail := m.capacityForGrants()
-	cands := make([]cand, n)
+	m.scratch.cands = slices.Grow(m.scratch.cands[:0], n)[:n]
+	cands := m.scratch.cands
 
 	// Pass 1: locate above/below entries and sum the above set.
 	m.lastOp.Passes = 1
 	sum := ticks.FracZero
 	for i, a := range active {
-		share := pol.Shares[a.member]
-		c := cand{a: a, target: ticks.FracPercent(int64(share))}
-		list := a.list
+		c := cand{a: a, share: shares[i], target: ticks.FracPercent(int64(shares[i]))}
 		// Entries are ordered max rate (index 0) to min rate (last).
 		// "Above" is the lowest-rate entry with rate >= target;
 		// "below" is the highest-rate entry with rate <= target.
 		c.above, c.below = -1, -1
-		for j := range list {
+		for j, f := range a.fracs {
 			m.lastOp.EntriesExamined++
-			f := list[j].Frac()
 			if f.Cmp(c.target) >= 0 {
 				c.above = j // keep descending: last such j is lowest rate >= target
 			} else if c.below == -1 {
@@ -118,10 +134,10 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		if c.below == -1 {
 			// No entry fits under the target; the minimum entry is
 			// the floor (admission guarantees the minimums fit).
-			c.below = len(list) - 1
+			c.below = len(a.fracs) - 1
 		}
 		c.chosen = c.above
-		sum = sum.Add(list[c.chosen].Frac())
+		sum = sum.Add(a.fracs[c.chosen])
 		cands[i] = c
 	}
 
@@ -131,11 +147,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		// first), ties broken by task ID, so the outcome is
 		// deterministic and start-order independent.
 		m.lastOp.Passes = 2
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sortByShareAsc(order, cands, pol)
+		order := m.shareOrder(cands, shareAsc)
 		for _, i := range order {
 			if sum.LessOrEqual(avail) {
 				break
@@ -144,8 +156,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 			if c.chosen == c.below {
 				continue
 			}
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[c.below].Frac())
-			c.chosen = c.below
+			sum = c.move(sum, c.below)
 			m.lastOp.EntriesExamined += 2
 		}
 		// Safety net: if the below set still does not fit (possible
@@ -160,8 +171,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 			if c.chosen == min {
 				continue
 			}
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[min].Frac())
-			c.chosen = min
+			sum = c.move(sum, min)
 			m.lastOp.EntriesExamined += 2
 		}
 	}
@@ -170,8 +180,8 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	// choice must also respect the FFU's exclusivity and the Data
 	// Streamer capacity (Table 1's omitted fields). Demotions here
 	// only lower entries, so the CPU sum can only shrink.
-	sum = m.enforceFFU(cands, pol, sum)
-	sum = m.enforceStreamer(cands, pol, sum)
+	sum = m.enforceFFU(cands, exclusive, sum)
+	sum = m.enforceStreamer(cands, sum)
 
 	// Pass 3: if substantial resources remain, look for threads that
 	// can use them. Walk in descending share (most-important first),
@@ -179,11 +189,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	// every dimension.
 	leftover := avail.Sub(sum)
 	if leftover.Num > 0 {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sortByShareDesc(order, cands, pol)
+		order := m.shareOrder(cands, shareDesc)
 		streamerSum := totalStreamer(cands)
 		ffuHolder := ffuHolderIndex(cands)
 		promoted := false
@@ -192,7 +198,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 			for c.chosen > 0 {
 				next := c.chosen - 1
 				ne := c.a.list[next]
-				delta := ne.Frac().Sub(c.a.list[c.chosen].Frac())
+				delta := c.a.fracs[next].Sub(c.a.fracs[c.chosen])
 				m.lastOp.EntriesExamined++
 				if !sum.Add(delta).LessOrEqual(avail) {
 					break
@@ -238,7 +244,7 @@ func totalStreamer(cands []cand) int64 {
 // FFU-requiring entry, or -1.
 func ffuHolderIndex(cands []cand) int {
 	for i := range cands {
-		if cands[i].a.list[cands[i].chosen].NeedsFFU {
+		if cands[i].holdsFFU() {
 			return i
 		}
 	}
@@ -248,28 +254,27 @@ func ffuHolderIndex(cands []cand) int {
 // enforceFFU demotes all but one FFU claimant to their highest
 // non-FFU level. The winner is, in priority order: the task whose
 // minimum level requires the FFU (it cannot shed the unit; admission
-// caps such residents at one), the policy's designated Exclusive
+// caps such residents at one), the policy's designated exclusive
 // member (§4.3), then the highest policy share with ties to the
 // oldest task — a deterministic, policy-driven resolution rather
 // than an accident of timing.
-func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ticks.Frac {
-	var holders []int
-	for i := range cands {
-		if cands[i].a.list[cands[i].chosen].NeedsFFU {
-			holders = append(holders, i)
-		}
-	}
-	if len(holders) <= 1 {
-		return sum
-	}
-	winner := holders[0]
-	score := func(i int) (resident bool, exclusive bool, share int) {
+func (m *Manager) enforceFFU(cands []cand, exclusive policy.MemberID, sum ticks.Frac) ticks.Frac {
+	score := func(i int) (resident bool, excl bool, share int) {
 		c := &cands[i]
 		return c.a.list.MinNeedsFFU(),
-			pol.Exclusive != policy.NoMember && c.a.member == pol.Exclusive,
-			pol.Shares[c.a.member]
+			exclusive != policy.NoMember && c.a.member == exclusive,
+			c.share
 	}
-	for _, h := range holders[1:] {
+	winner, holders := -1, 0
+	for h := range cands {
+		if !cands[h].holdsFFU() {
+			continue
+		}
+		holders++
+		if winner == -1 {
+			winner = h
+			continue
+		}
 		wr, we, ws := score(winner)
 		hr, he, hs := score(h)
 		switch {
@@ -289,11 +294,14 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 			winner = h
 		}
 	}
-	for _, h := range holders {
-		if h == winner {
+	if holders <= 1 {
+		return sum
+	}
+	for h := range cands {
+		c := &cands[h]
+		if h == winner || !c.holdsFFU() {
 			continue
 		}
-		c := &cands[h]
 		k, ok := c.a.list.FirstNonFFU()
 		if !ok {
 			// Every level needs the FFU; admission guarantees at most
@@ -301,8 +309,7 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 			continue
 		}
 		if k > c.chosen {
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[k].Frac())
-			c.chosen = k
+			sum = c.move(sum, k)
 			m.lastOp.EntriesExamined++
 		}
 	}
@@ -312,23 +319,17 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 // enforceStreamer demotes entries (ascending share, newest first)
 // until the chosen set's Data Streamer demand fits capacity.
 // Admission over minimum entries guarantees convergence.
-func (m *Manager) enforceStreamer(cands []cand, pol policy.Policy, sum ticks.Frac) ticks.Frac {
+func (m *Manager) enforceStreamer(cands []cand, sum ticks.Frac) ticks.Frac {
 	streamerSum := totalStreamer(cands)
 	if m.streamer.Fits(streamerSum) {
 		return sum
 	}
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sortByShareAsc(order, cands, pol)
-	for _, i := range order {
+	for _, i := range m.shareOrder(cands, shareAsc) {
 		c := &cands[i]
 		for !m.streamer.Fits(streamerSum) && c.chosen < len(c.a.list)-1 {
 			next := c.chosen + 1
 			streamerSum += c.a.list[next].StreamerMBps - c.a.list[c.chosen].StreamerMBps
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[next].Frac())
-			c.chosen = next
+			sum = c.move(sum, next)
 			m.lastOp.EntriesExamined++
 		}
 		if m.streamer.Fits(streamerSum) {
@@ -341,11 +342,23 @@ func (m *Manager) enforceStreamer(cands []cand, pol policy.Policy, sum ticks.Fra
 // cand is one thread's state during policy correlation.
 type cand struct {
 	a      *admitted
+	share  int        // policy share, percent
 	target ticks.Frac // policy share as a CPU fraction
 	above  int        // entry index just above target (lower index = higher rate)
 	below  int        // entry index just below target
 	chosen int
 }
+
+// move re-chooses level k for c and returns the CPU sum adjusted from
+// the old choice's fraction to the new one's.
+func (c *cand) move(sum ticks.Frac, k int) ticks.Frac {
+	sum = sum.Sub(c.a.fracs[c.chosen]).Add(c.a.fracs[k])
+	c.chosen = k
+	return sum
+}
+
+// holdsFFU reports whether c's chosen entry needs the FFU.
+func (c *cand) holdsFFU() bool { return c.a.list[c.chosen].NeedsFFU }
 
 // Tie-breaks: when policy shares are equal, both demotion (pass 2)
 // and residual promotion (pass 3) prefer the newest thread
@@ -357,56 +370,70 @@ type cand struct {
 // order-independent; the tie-break only chooses among interchangeable
 // threads.
 
-func sortByShareAsc(order []int, cands []cand, pol policy.Policy) {
-	sortOrder(order, func(i, j int) bool {
-		si, sj := pol.Shares[cands[i].a.member], pol.Shares[cands[j].a.member]
-		if si != sj {
-			return si < sj
-		}
-		return cands[i].a.id > cands[j].a.id
-	})
-}
+// Walk directions for shareOrder.
+const (
+	shareAsc  = false // least-important first: demotion
+	shareDesc = true  // most-important first: promotion
+)
 
-func sortByShareDesc(order []int, cands []cand, pol policy.Policy) {
-	sortOrder(order, func(i, j int) bool {
-		si, sj := pol.Shares[cands[i].a.member], pol.Shares[cands[j].a.member]
-		if si != sj {
-			return si > sj
-		}
-		return cands[i].a.id > cands[j].a.id
-	})
-}
-
-func sortOrder(order []int, less func(i, j int) bool) {
-	// Insertion sort: n is small and this avoids closure-allocation
-	// churn from sort.Slice in the hot grant-set path.
+// shareOrder returns the indices of cands sorted by policy share in
+// the given direction, equal shares newest (highest task ID) first.
+// The slice is the Manager's order scratch, valid until the next
+// call.
+func (m *Manager) shareOrder(cands []cand, desc bool) []int {
+	order := slices.Grow(m.scratch.order[:0], len(cands))[:len(cands)]
+	for i := range order {
+		order[i] = i
+	}
+	// Insertion sort: n is small and it needs no closure or
+	// interface allocation in the hot grant-set path.
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
+		for j := i; j > 0 && shareBefore(&cands[order[j]], &cands[order[j-1]], desc); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	m.scratch.order = order
+	return order
 }
 
-// commit installs the new grant set and signals the Scheduler:
-// decreases and removals immediately, increases via the pending flag
-// picked up at unallocated time (§4.2).
-func (m *Manager) commit(old, gs GrantSet) {
+// shareBefore reports whether x walks before y in shareOrder.
+func shareBefore(x, y *cand, desc bool) bool {
+	if x.share != y.share {
+		return (x.share > y.share) == desc
+	}
+	return x.a.id > y.a.id
+}
+
+// commit installs the new grant set, computed over active (ascending
+// ID), and signals the Scheduler: decreases and removals immediately,
+// increases via the pending flag picked up at unallocated time (§4.2).
+// Each commit installs gs, a freshly built map, and a fresh ID list,
+// so a set handed out by CollectGrants or Committed never changes.
+func (m *Manager) commit(active []*admitted, gs GrantSet) {
 	// Sorted iteration: GrantDecreased reaches the Scheduler and the
 	// trace, so signal order must not depend on map iteration order.
-	for _, id := range old.IDs() {
-		og := old[id]
+	for _, id := range m.grantIDs {
+		og := m.grants[id]
 		ng, ok := gs[id]
 		if !ok {
 			// Removal was already signalled by the caller (Remove or
 			// SetQuiescent call GrantRemoved before recomputing).
 			continue
 		}
-		if ng.Entry.Frac().Cmp(og.Entry.Frac()) < 0 {
+		if rateOf(ng.Entry).Cmp(rateOf(og.Entry)) < 0 {
 			m.hooks.GrantDecreased(id, ng)
 		}
 	}
-	m.grants = gs
+	ids := make([]task.ID, len(active))
+	for i, a := range active {
+		ids[i] = a.id
+	}
+	m.grants, m.grantIDs = gs, ids
 	m.gen++
 	m.pending = true
 	m.hooks.GrantsPending()
 }
+
+// rateOf is e's CPU fraction as written, not reduced: Cmp compares by
+// value, so the gcd Entry.Frac spends would buy nothing here.
+func rateOf(e task.Entry) ticks.Frac { return ticks.Frac{Num: int64(e.CPU), Den: int64(e.Period)} }

@@ -95,9 +95,22 @@ type admitted struct {
 	id     task.ID
 	t      *task.Task
 	list   task.ResourceList // admitted copy (descriptor may be reused)
+	fracs  []ticks.Frac      // list[j].Frac() for every level, for grant control
 	member policy.MemberID
 	state  task.State
 }
+
+// fracsOf returns each level's exact CPU fraction.
+func fracsOf(list task.ResourceList) []ticks.Frac {
+	out := make([]ticks.Frac, len(list))
+	for j, e := range list {
+		out[j] = e.Frac()
+	}
+	return out
+}
+
+func (a *admitted) maxFrac() ticks.Frac { return a.fracs[0] }
+func (a *admitted) minFrac() ticks.Frac { return a.fracs[len(a.fracs)-1] }
 
 // Manager is the Resource Manager.
 type Manager struct {
@@ -107,6 +120,8 @@ type Manager struct {
 	// reserve is the CPU fraction set aside for interrupt handling
 	// (§5.2). The Figure 5 run reserves 4%.
 	reserve ticks.Frac
+	// avail is the schedulable CPU fraction, 1 - reserve.
+	avail ticks.Frac
 
 	// streamer is the Data Streamer bandwidth capacity; the zero
 	// value leaves the dimension unmodelled.
@@ -136,9 +151,10 @@ type Manager struct {
 	// level requires the FFU; exclusivity caps this at one.
 	ffuResidents int
 
-	grants  GrantSet
-	gen     uint64 // bumped each time commit installs a grant set
-	pending bool   // a recomputed grant set awaits Scheduler pickup
+	grants   GrantSet
+	grantIDs []task.ID // grants' task IDs, ascending
+	gen      uint64    // bumped each time commit installs a grant set
+	pending  bool      // a recomputed grant set awaits Scheduler pickup
 
 	// pressure is the degradation fraction withheld from grant
 	// computation (never from admission); see degrade.go.
@@ -147,6 +163,8 @@ type Manager struct {
 	degradations []DegradationEvent
 
 	lastOp OpStats
+
+	scratch scratch // grant computation working memory (grantset.go)
 
 	tel rmTelemetry
 }
@@ -180,10 +198,12 @@ func New(cfg Config) *Manager {
 	if cfg.InterruptReservePercent < 0 || cfg.InterruptReservePercent >= 100 {
 		panic("rm: interrupt reserve must be in [0,100)")
 	}
+	reserve := ticks.FracPercent(cfg.InterruptReservePercent)
 	return &Manager{
 		box:      box,
 		hooks:    hooks,
-		reserve:  ticks.FracPercent(cfg.InterruptReservePercent),
+		reserve:  reserve,
+		avail:    ticks.FracOne.Sub(reserve),
 		streamer: cfg.Streamer,
 		nextID:   1,
 		tasks:    make(map[task.ID]*admitted),
@@ -211,7 +231,7 @@ func (m *Manager) SetHooks(h Hooks) {
 }
 
 // Available reports the schedulable CPU fraction (1 - reserve).
-func (m *Manager) Available() ticks.Frac { return ticks.FracOne.Sub(m.reserve) }
+func (m *Manager) Available() ticks.Frac { return m.avail }
 
 // MinSum reports the current admission running sum.
 func (m *Manager) MinSum() ticks.Frac { return m.minSum }
@@ -251,6 +271,7 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 		id:     id,
 		t:      t,
 		list:   list,
+		fracs:  fracsOf(list),
 		member: m.box.Register(t.Name),
 		state:  task.Runnable,
 	}
@@ -264,7 +285,7 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 		m.ffuResidents++
 	}
 	if a.state != task.Quiescent {
-		m.addMaxSums(a.list)
+		m.addMaxSums(a)
 	}
 	m.recomputeGrants()
 	m.telAdmission(t.Name, id, true, "accepted")
@@ -273,18 +294,18 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 
 // addMaxSums and subMaxSums maintain the non-quiescent fast-path
 // feasibility sums across every resource dimension.
-func (m *Manager) addMaxSums(list task.ResourceList) {
-	m.maxSum = m.maxSum.Add(list.Max().Frac())
-	m.maxStreamerSum += list.Max().StreamerMBps
-	if list.Max().NeedsFFU {
+func (m *Manager) addMaxSums(a *admitted) {
+	m.maxSum = m.maxSum.Add(a.maxFrac())
+	m.maxStreamerSum += a.list.Max().StreamerMBps
+	if a.list.Max().NeedsFFU {
 		m.ffuMaxCount++
 	}
 }
 
-func (m *Manager) subMaxSums(list task.ResourceList) {
-	m.maxSum = m.maxSum.Sub(list.Max().Frac())
-	m.maxStreamerSum -= list.Max().StreamerMBps
-	if list.Max().NeedsFFU {
+func (m *Manager) subMaxSums(a *admitted) {
+	m.maxSum = m.maxSum.Sub(a.maxFrac())
+	m.maxStreamerSum -= a.list.Max().StreamerMBps
+	if a.list.Max().NeedsFFU {
 		m.ffuMaxCount--
 	}
 }
@@ -297,13 +318,13 @@ func (m *Manager) Remove(id task.ID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
 	}
 	m.lastOp = OpStats{Op: "remove"}
-	m.minSum = m.minSum.Sub(a.list.MinFrac())
+	m.minSum = m.minSum.Sub(a.minFrac())
 	m.minStreamerSum -= a.list.Min().StreamerMBps
 	if a.list.MinNeedsFFU() {
 		m.ffuResidents--
 	}
 	if a.state != task.Quiescent {
-		m.subMaxSums(a.list)
+		m.subMaxSums(a)
 	}
 	delete(m.tasks, id)
 	m.hooks.GrantRemoved(id)
@@ -324,7 +345,7 @@ func (m *Manager) SetQuiescent(id task.ID) error {
 	}
 	m.lastOp = OpStats{Op: "quiesce"}
 	a.state = task.Quiescent
-	m.subMaxSums(a.list)
+	m.subMaxSums(a)
 	m.hooks.GrantRemoved(id)
 	m.recomputeGrants()
 	return nil
@@ -343,7 +364,7 @@ func (m *Manager) Wake(id task.ID) error {
 	}
 	m.lastOp = OpStats{Op: "wake"}
 	a.state = task.Runnable
-	m.addMaxSums(a.list)
+	m.addMaxSums(a)
 	m.recomputeGrants()
 	return nil
 }
@@ -361,7 +382,7 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 		return err
 	}
 	m.lastOp = OpStats{Op: "change-list"}
-	newSum := m.minSum.Sub(a.list.MinFrac()).Add(list.MinFrac())
+	newSum := m.minSum.Sub(a.minFrac()).Add(list.MinFrac())
 	m.lastOp.AdmissionChecks = 1
 	if !newSum.LessOrEqual(m.Available()) {
 		return fmt.Errorf("%w: new list's minimum does not fit", ErrAdmissionDenied)
@@ -380,14 +401,17 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 		}
 		residents++
 	}
-	if a.state != task.Quiescent {
-		m.subMaxSums(a.list)
-		m.addMaxSums(list)
-	}
 	m.minSum = newSum
 	m.minStreamerSum = newStreamer
 	m.ffuResidents = residents
+	if a.state != task.Quiescent {
+		m.subMaxSums(a)
+	}
 	a.list = list.Clone()
+	a.fracs = fracsOf(a.list)
+	if a.state != task.Quiescent {
+		m.addMaxSums(a)
+	}
 	m.recomputeGrants()
 	return nil
 }
@@ -445,18 +469,20 @@ func (m *Manager) HasPending() bool { return m.pending }
 
 // CollectGrants is the Scheduler's §4.2 callback: "the Scheduler
 // makes a callback to the Resource Manager to get the new grant
-// information" when it has unallocated time. It returns the current
-// grant set and clears the pending flag.
-//
-// The returned set is the committed map itself, not a copy: committed
-// sets are immutable (recomputation always installs a freshly built
-// map, see commit), and the Scheduler only reads the set, so the
-// unallocated-time pickup path avoids a per-call clone. External
-// callers get the defensive copy via Grants.
-func (m *Manager) CollectGrants() GrantSet {
+// information" when it has unallocated time. It clears the pending
+// flag and returns what Committed returns.
+func (m *Manager) CollectGrants() (GrantSet, []task.ID) {
 	m.pending = false
-	return m.grants
+	return m.Committed()
 }
+
+// Committed returns the committed grant set and its task IDs in
+// ascending order. Both are the Manager's own, not copies, and callers
+// must only read them: committed sets are immutable (every commit
+// installs a freshly built map and ID list), so the Scheduler's
+// unallocated-time pickup and the invariant Checker avoid a per-call
+// clone and sort. External callers get the defensive copy via Grants.
+func (m *Manager) Committed() (GrantSet, []task.ID) { return m.grants, m.grantIDs }
 
 // NTasks reports the number of admitted tasks (all states).
 func (m *Manager) NTasks() int { return len(m.tasks) }
@@ -475,17 +501,16 @@ func (m *Manager) TaskIDs() []task.ID {
 }
 
 // nonQuiescent returns admitted non-quiescent records in ID order,
-// for deterministic iteration.
+// for deterministic iteration. The slice is the Manager's scratch,
+// valid until the next call.
 func (m *Manager) nonQuiescent() []*admitted {
-	if len(m.tasks) == 0 {
-		return nil
-	}
-	out := make([]*admitted, 0, len(m.tasks))
+	out := m.scratch.active[:0]
 	for _, a := range m.tasks {
 		if a.state != task.Quiescent {
 			out = append(out, a)
 		}
 	}
 	slices.SortFunc(out, func(a, b *admitted) int { return cmp.Compare(a.id, b.id) })
+	m.scratch.active = out
 	return out
 }

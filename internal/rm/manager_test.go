@@ -420,12 +420,15 @@ func TestPendingAndCollect(t *testing.T) {
 	if !m.HasPending() {
 		t.Error("admission did not mark grants pending")
 	}
-	gs := m.CollectGrants()
+	gs, ids := m.CollectGrants()
 	if m.HasPending() {
 		t.Error("CollectGrants did not clear pending")
 	}
 	if _, ok := gs[id]; !ok {
 		t.Error("collected set missing admitted task")
+	}
+	if len(ids) != 1 || ids[0] != id {
+		t.Errorf("collected IDs = %v, want [%d]", ids, id)
 	}
 }
 

@@ -28,8 +28,7 @@ func (s *Scheduler) GrantDecreased(id task.ID, g rm.Grant) {
 	if !ok {
 		return // not yet picked up; the eventual pickup has the new grant
 	}
-	ng := g
-	t.nextGrant = &ng
+	t.nextGrant, t.hasNext = g, true
 }
 
 // GrantRemoved implements rm.Hooks: the task exited, was terminated,
@@ -74,25 +73,20 @@ func (s *Scheduler) dropTask(t *tcb) {
 // been idle or overtime, so admission cannot affect an admitted task.
 // Increases for existing tasks apply at their next period start.
 func (s *Scheduler) collectGrants() {
-	gs := s.rmg.CollectGrants()
+	gs, ids := s.rmg.CollectGrants()
 	now := s.k.Now()
 	s.tel.grantsCollected.Inc()
 	// Sorted iteration: startTask emits trace events, whose order must
 	// not depend on map iteration order.
-	for _, id := range gs.IDs() {
+	for _, id := range ids {
 		g := gs[id]
 		t, ok := s.tasks[id]
 		if !ok {
 			s.startTask(id, g, now)
 			continue
 		}
-		if g != t.grant {
-			ng := g
-			t.nextGrant = &ng
-		} else {
-			// Same grant as running: clear any stale change.
-			t.nextGrant = nil
-		}
+		// A grant equal to the running one clears any stale change.
+		t.nextGrant, t.hasNext = g, g != t.grant
 	}
 	// Tasks the Scheduler holds but the set omits were removed or
 	// quiesced; the immediate GrantRemoved signal already dropped
@@ -141,9 +135,8 @@ func (s *Scheduler) startTask(id task.ID, g rm.Grant, now ticks.Ticks) {
 func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 	prevLevel := t.grant.Level
 	prevFFU := t.grant.Entry.NeedsFFU
-	if t.nextGrant != nil {
-		t.grant = *t.nextGrant
-		t.nextGrant = nil
+	if t.hasNext {
+		t.grant, t.hasNext = t.nextGrant, false
 	}
 	t.prevLevel = prevLevel
 	t.grantChanged = t.grant.Level != prevLevel
@@ -217,7 +210,7 @@ func (s *Scheduler) rollPeriods(now ticks.Ticks) {
 func (s *Scheduler) advanceWindow(t *tcb) {
 	start := t.deadline + t.takeInsertedIdle()
 	period := t.grant.Entry.Period
-	if t.nextGrant != nil {
+	if t.hasNext {
 		// Window arithmetic uses the upcoming grant's period once
 		// the change is due; applying it here keeps deadlines
 		// consistent with what beginPeriod will install.

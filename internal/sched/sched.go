@@ -118,7 +118,8 @@ type tcb struct {
 	controlled bool        // §5.6 controlled-preemption registration
 
 	grant     rm.Grant
-	nextGrant *rm.Grant // grant to apply at the next period start
+	nextGrant rm.Grant // grant to apply at the next period start ...
+	hasNext   bool     // ... if set
 
 	periodStart ticks.Ticks
 	deadline    ticks.Ticks

@@ -7,42 +7,6 @@ import "testing"
 //
 //	go test -fuzz FuzzFracAdd -fuzztime 30s ./internal/ticks
 
-// FuzzFracAdd checks the exact-fraction arithmetic that admission
-// control leans on: commutativity, the identity, sign behaviour of
-// Sub, and agreement with float arithmetic to fixed-point tolerance.
-func FuzzFracAdd(f *testing.F) {
-	f.Add(int64(1), int64(3), int64(1), int64(2))
-	f.Add(int64(27_000), int64(270_000), int64(300_000), int64(900_000))
-	f.Add(int64(1), int64(4_293_000_000), int64(1), int64(3))
-	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
-		if ad <= 0 || bd <= 0 {
-			t.Skip()
-		}
-		if an < 0 || bn < 0 || an > ad || bn > bd {
-			t.Skip() // admission fractions are rates in [0,1]
-		}
-		a := Frac{an, ad}
-		b := Frac{bn, bd}
-		ab := a.Add(b)
-		ba := b.Add(a)
-		if ab.Cmp(ba) != 0 {
-			t.Fatalf("Add not commutative: %v vs %v", ab, ba)
-		}
-		if z := a.Add(FracZero); z.Cmp(a.reduce()) != 0 {
-			t.Fatalf("a+0 = %v, want %v", z, a)
-		}
-		d := ab.Sub(b)
-		if d.Cmp(a.reduce()) != 0 {
-			t.Fatalf("(a+b)-b = %v, want %v", d, a)
-		}
-		want := a.Float() + b.Float()
-		got := ab.Float()
-		if diff := got - want; diff < -1e-6 || diff > 1e-6 {
-			t.Fatalf("float mismatch: %v vs %v", got, want)
-		}
-	})
-}
-
 // FuzzTickConversions checks microsecond/millisecond round trips.
 func FuzzTickConversions(f *testing.F) {
 	f.Add(int64(0))

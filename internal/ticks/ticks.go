@@ -203,32 +203,47 @@ func (f Frac) reduce() Frac {
 	return Frac{f.Num / g, f.Den / g}
 }
 
-// Add returns f+g exactly, falling back to float-free big-step
-// reduction. Overflow is avoided by reducing before multiplying;
-// admission sums involve at most a few dozen terms with denominators
-// bounded by MaxPeriod, which fits comfortably in int64 after
-// reduction for realistic task sets. If the intermediate product
-// would overflow, Add falls back to a common-denominator of the
-// reduced terms scaled into a 1e12 fixed-point grid, which is more
-// than enough resolution for admission (1 part in 10^12).
+// Add returns f+g. It cross-multiplies the operands as given and
+// reduces the result once; lowest terms are unique, so reducing the
+// operands first could not change an exact result. Only when that
+// cross-multiplication overflows does Add reduce both operands and
+// try again. If even the reduced products overflow, Add falls back to
+// rounding both terms onto a 1e12 fixed-point grid (1 part in 10^12,
+// more than enough resolution for admission); a term whose
+// denominator is too large to scale exactly is rounded through
+// float64. Admission sums involve at most a few dozen terms with
+// denominators bounded by MaxPeriod, which stay on the exact path.
 func (f Frac) Add(g Frac) Frac {
-	f, g = f.reduce(), g.reduce()
-	// Try exact cross-multiplication.
-	if n1, ok1 := mulOK(f.Num, g.Den); ok1 {
-		if n2, ok2 := mulOK(g.Num, f.Den); ok2 {
-			if d, ok3 := mulOK(f.Den, g.Den); ok3 {
-				s, ok4 := addOK(n1, n2)
-				if ok4 {
-					return Frac{s, d}.reduce()
-				}
-			}
+	if f.Den > 0 && g.Den > 0 {
+		if s, ok := addExact(f, g); ok {
+			return s
 		}
+	}
+	f, g = f.reduce(), g.reduce()
+	if s, ok := addExact(f, g); ok {
+		return s
 	}
 	// Fixed-point fallback.
 	const grid = 1_000_000_000_000
 	fn := fixedPoint(f, grid)
 	gn := fixedPoint(g, grid)
 	return Frac{fn + gn, grid}.reduce()
+}
+
+// addExact returns f+g in lowest terms by cross-multiplication, or
+// false if an intermediate product or the sum overflows int64.
+func addExact(f, g Frac) (Frac, bool) {
+	n1, ok1 := mulOK(f.Num, g.Den)
+	n2, ok2 := mulOK(g.Num, f.Den)
+	d, ok3 := mulOK(f.Den, g.Den)
+	if !ok1 || !ok2 || !ok3 {
+		return Frac{}, false
+	}
+	s, ok := addOK(n1, n2)
+	if !ok {
+		return Frac{}, false
+	}
+	return Frac{s, d}.reduce(), true
 }
 
 // Sub returns f-g exactly (with the same fallback as Add).
